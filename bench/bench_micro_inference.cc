@@ -28,7 +28,6 @@
 #include "bench/harness.h"
 #include "common/parallel.h"
 #include "common/parse.h"
-#include "common/simd.h"
 #include "ml/compiled_tree.h"
 #include "ml/random_forest.h"
 #include "obs/audit.h"
@@ -281,91 +280,6 @@ main(int argc, char** argv)
     std::printf("forest(%d) campaign batch speedup: %.2fx "
                 "(acceptance target: >= 5x)\n",
                 kForestSize, target);
-
-    // --- SIMD tier sweep: the compiled batch paths under every kernel
-    // tier this CPU supports. All tiers are bit-identical by contract
-    // (pinned by tests/test_simd.cc), so this is purely a throughput
-    // comparison; the scalar row is the pre-SIMD compiled baseline.
-    {
-        TextTable sweep("compiled batch throughput by SIMD kernel tier");
-        sweep.setHeader({"tier", "tree batch ns/pred",
-                         "forest batch ns/pred",
-                         "forest serving ns/pred",
-                         "forest speedup vs scalar"});
-        double scalarForestNs = 0.0;
-        double bestForestNs = 0.0;
-        const char* bestName = "scalar";
-        for (simd::Tier t : simd::availableTiers()) {
-            simd::setTier(t);
-            // Warm the instruction paths and the node arrays once so
-            // the first timed slice is not a cold-cache outlier.
-            compiledForest.predictBatch(flat, nFeatures, out);
-            const double treeNs = perPredNs(
-                secondsFor(
-                    [&] {
-                        compiledTree.predictBatch(flat, nFeatures,
-                                                  out);
-                    },
-                    batchReps),
-                batchReps, nRows);
-            const double forestNs = perPredNs(
-                secondsFor(
-                    [&] {
-                        compiledForest.predictBatch(flat, nFeatures,
-                                                    out);
-                    },
-                    batchReps),
-                batchReps, nRows);
-            const double servingNs = perPredNs(
-                secondsFor(
-                    [&] {
-                        compiledForest.predictBatch(
-                            servingFlat, nFeatures, servingOut);
-                    },
-                    servingReps),
-                servingReps, kServingRows);
-            const std::string tn = simd::tierName(t);
-            setGauge("bench.inference.tree.batch." + tn +
-                         "_ns_per_pred",
-                     treeNs);
-            setGauge("bench.inference.forest.batch." + tn +
-                         "_ns_per_pred",
-                     forestNs);
-            setGauge("bench.inference.forest.serving." + tn +
-                         "_ns_per_pred",
-                     servingNs);
-            if (t == simd::Tier::Scalar)
-                scalarForestNs = forestNs;
-            // availableTiers is narrowest-first, so the last row is
-            // the widest (auto-selected) tier.
-            bestForestNs = forestNs;
-            bestName = simd::tierName(t);
-            const double vsScalar =
-                scalarForestNs > 0.0 && forestNs > 0.0
-                    ? scalarForestNs / forestNs
-                    : 1.0;
-            sweep.addRow({tn, formatDouble(treeNs, 1),
-                          formatDouble(forestNs, 1),
-                          formatDouble(servingNs, 1),
-                          formatDouble(vsScalar, 2) + "x"});
-        }
-        // Leave the process on the calibrated auto table, not the raw
-        // widest tier the sweep ended on — on gather-slow hosts auto
-        // keeps the scalar walk (see the calibration note in
-        // common/simd.h) and the audit benchmark below should measure
-        // the production configuration.
-        simd::setTierFromName("auto");
-        const double simdSpeedup =
-            scalarForestNs > 0.0 && bestForestNs > 0.0
-                ? scalarForestNs / bestForestNs
-                : 0.0;
-        setGauge("bench.inference.forest.batch.simd_speedup_vs_scalar",
-                 simdSpeedup);
-        std::printf("%s\n", sweep.render().c_str());
-        std::printf("forest batch SIMD speedup (%s vs scalar): %.2fx "
-                    "(acceptance target: >= 1.5x)\n",
-                    bestName, simdSpeedup);
-    }
 
     // --- audit overhead: the full predictDataset serving path with
     // the provenance log off vs. on at 1% sampling (the production

@@ -5,8 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "common/simd.h"
-
 namespace mapp::stats {
 
 double
@@ -23,8 +21,11 @@ variance(std::span<const double> xs)
     if (xs.size() < 2)
         return 0.0;
     const double m = mean(xs);
-    const double acc =
-        simd::kernels().sumSquaredDev(xs.data(), xs.size(), m);
+    double acc = 0.0;
+    for (double x : xs) {
+        const double d = x - m;
+        acc += d * d;
+    }
     return acc / static_cast<double>(xs.size());
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "common/simd.h"
 #include "common/stats.h"
 
 namespace mapp::ml {
@@ -33,9 +32,11 @@ meanSquaredError(std::span<const double> truth,
     if (n == 0)
         return 0.0;
     requireFinite(truth, predicted, n, "ml::meanSquaredError");
-    const double acc =
-        simd::kernels().sumSquaredDiff(truth.data(), predicted.data(),
-                                       n);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double d = truth[i] - predicted[i];
+        acc += d * d;
+    }
     return acc / static_cast<double>(n);
 }
 
@@ -55,11 +56,10 @@ meanRelativeErrorPercent(std::span<const double> truth,
     const std::size_t n = std::min(truth.size(), predicted.size());
     if (n == 0)
         return 0.0;
-    // Validate first (keeping the fail-fast contract), then hand the
-    // finite data to the elementwise-vectorized reduction kernel.
     requireFinite(truth, predicted, n, "ml::meanRelativeErrorPercent");
-    const double acc = simd::kernels().sumAbsRelErrPct(
-        truth.data(), predicted.data(), n);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        acc += relativeErrorPercent(truth[i], predicted[i]);
     return acc / static_cast<double>(n);
 }
 
@@ -71,10 +71,14 @@ r2Score(std::span<const double> truth, std::span<const double> predicted)
         return 0.0;
     requireFinite(truth, predicted, n, "ml::r2Score");
     const double mean = stats::mean(truth.subspan(0, n));
-    const simd::Kernels& k = simd::kernels();
-    const double ssRes =
-        k.sumSquaredDiff(truth.data(), predicted.data(), n);
-    const double ssTot = k.sumSquaredDev(truth.data(), n, mean);
+    double ssRes = 0.0;
+    double ssTot = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double res = truth[i] - predicted[i];
+        const double dev = truth[i] - mean;
+        ssRes += res * res;
+        ssTot += dev * dev;
+    }
     if (ssTot <= 0.0)
         return ssRes <= 0.0 ? 1.0 : 0.0;
     return 1.0 - ssRes / ssTot;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/simd.h"
 
 namespace mapp::predictor {
 
@@ -48,7 +47,7 @@ buildBagVector(const AppFeatures& a, const AppFeatures& b, double fairness)
             out.push_back(f.mixPercent[static_cast<std::size_t>(c)]);
     };
     std::vector<double> out;
-    out.reserve(bagFeatureNames().size());
+    out.reserve(kBagFeatureCount);
     appendBlock(out, a);
     appendBlock(out, b);
     out.push_back(fairness);
@@ -122,23 +121,17 @@ RangeNormalizer::applyBatchInPlace(std::span<double> rowMajor,
     if (rowMajor.size() % nFeatures != 0)
         fatal("RangeNormalizer::applyBatchInPlace: buffer is not a "
               "whole number of rows");
-    // Expand the mask into a per-feature divisor vector: `scale` for
-    // time features, exactly 1.0 for the rest. IEEE division by 1.0 is
-    // the identity, so the branch-free kernel divide matches the old
-    // masked divide bit for bit — and vectorizes.
-    std::vector<double> divisors(nFeatures, 1.0);
-    for (std::size_t f = 0; f < nFeatures; ++f)
-        if (time_mask[f])
-            divisors[f] = scale_;
-    simd::kernels().normalizeRows(rowMajor.data(),
-                                  rowMajor.size() / nFeatures,
-                                  divisors.data(), nFeatures);
+    for (std::size_t base = 0; base < rowMajor.size(); base += nFeatures)
+        for (std::size_t f = 0; f < nFeatures; ++f)
+            if (time_mask[f])
+                rowMajor[base + f] /= scale_;
 }
 
 void
 RangeNormalizer::denormalizeInPlace(std::span<double> values) const
 {
-    simd::kernels().scaleValues(values.data(), values.size(), scale_);
+    for (double& v : values)
+        v *= scale_;
 }
 
 std::vector<double>

@@ -42,6 +42,14 @@ std::vector<std::string> baseFeatureNames();
 /** Number of apps in a bag feature vector (the paper fixes two). */
 inline constexpr int kBagSize = 2;
 
+/** Features per app: CPU time, GPU time and the instruction mix. */
+inline constexpr std::size_t kBaseFeatureCount =
+    2 + isa::kAllInstClasses.size();
+
+/** Features in a bag vector: every slot's block plus fairness. */
+inline constexpr std::size_t kBagFeatureCount =
+    static_cast<std::size_t>(kBagSize) * kBaseFeatureCount + 1;
+
 /** Full bag feature names: a0_*, a1_*, fairness. */
 std::vector<std::string> bagFeatureNames();
 

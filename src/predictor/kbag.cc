@@ -57,7 +57,7 @@ std::vector<double>
 buildKBagVector(const KBagPoint& point)
 {
     std::vector<double> out;
-    out.reserve(point.apps.size() * baseFeatureNames().size() + 1);
+    out.reserve(point.apps.size() * kBaseFeatureCount + 1);
     for (const auto& app : point.apps) {
         out.push_back(app.cpuTime);
         out.push_back(app.gpuTime);

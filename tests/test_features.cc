@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/log.h"
+#include "common/rng.h"
 #include "predictor/features.h"
 #include "predictor/schemes.h"
 
@@ -28,6 +30,8 @@ TEST(Features, BagNamesReplicateSlotsPlusFairness)
 {
     const auto names = bagFeatureNames();
     EXPECT_EQ(names.size(), 2u * 11u + 1u);
+    EXPECT_EQ(names.size(), kBagFeatureCount);
+    EXPECT_EQ(baseFeatureNames().size(), kBaseFeatureCount);
     EXPECT_EQ(names.front(), "a0_cpu_time");
     EXPECT_EQ(names.back(), "fairness");
     EXPECT_NE(std::find(names.begin(), names.end(), "a1_gpu_time"),
@@ -102,6 +106,46 @@ TEST(Normalizer, AppliesOnlyToTimeFeaturesAndTarget)
     EXPECT_DOUBLE_EQ(out.row(0).back(), 0.9);  // fairness untouched
     EXPECT_DOUBLE_EQ(out.target(0), 3.0);   // target scaled
     EXPECT_DOUBLE_EQ(norm.denormalizeTarget(out.target(0)), 12.0);
+}
+
+TEST(Normalizer, BatchInPlaceMatchesPerElementReference)
+{
+    Rng rng(5150);
+    const auto names = bagFeatureNames();
+    const auto mask = RangeNormalizer::timeFeatureMask(names);
+    ml::Dataset train(names);
+    for (int r = 0; r < 12; ++r) {
+        std::vector<double> row(names.size());
+        for (double& v : row)
+            v = rng.uniform(0.1, 40.0);
+        train.addRow(std::move(row), rng.uniform(0.1, 40.0), "g");
+    }
+    RangeNormalizer norm;
+    norm.fit(train);
+    ASSERT_NE(1.0, norm.scale());
+
+    const std::size_t rows = 37;
+    std::vector<double> flat(rows * names.size());
+    for (double& v : flat)
+        v = rng.uniform(-50.0, 50.0);
+
+    // The masked per-element divide, compared bit for bit.
+    auto reference = flat;
+    for (std::size_t base = 0; base < reference.size();
+         base += names.size())
+        for (std::size_t f = 0; f < names.size(); ++f)
+            if (mask[f])
+                reference[base + f] /= norm.scale();
+    auto out = flat;
+    norm.applyBatchInPlace(out, mask);
+    ASSERT_EQ(0, std::memcmp(reference.data(), out.data(),
+                             out.size() * sizeof(double)));
+
+    // denormalizeInPlace is a per-element multiply.
+    auto denorm = out;
+    norm.denormalizeInPlace(denorm);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        ASSERT_EQ(out[i] * norm.scale(), denorm[i]) << "element " << i;
 }
 
 TEST(Normalizer, DegenerateRangeFallsBackToIdentity)

@@ -1,11 +1,14 @@
 /** @file Compiled-inference equivalence suite: the SoA engines must be
  * bit-identical to the node-walk oracle — fuzzed over random
  * trees/forests and probe vectors (including degenerate single-leaf
- * trees and probes placed exactly on split thresholds), across batch
- * sizes, at several thread counts, and on the real campaign dataset. */
+ * trees, probes placed exactly on split thresholds and NaN features),
+ * across every batch size from 1 to 70 rows, at several thread counts,
+ * and on the real campaign dataset. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/log.h"
@@ -71,6 +74,18 @@ probesFor(const ml::DecisionTreeRegressor& tree, Rng& rng,
     return probes;
 }
 
+/** Put a NaN in one random feature of every 13th probe (NaN fails
+ * `<=`, so both engines must route it right). */
+void
+sprinkleNaNs(std::vector<std::vector<double>>& probes, Rng& rng)
+{
+    for (std::size_t p = 0; p < probes.size(); p += 13) {
+        const auto f = static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<int>(probes[p].size()) - 1));
+        probes[p][f] = std::numeric_limits<double>::quiet_NaN();
+    }
+}
+
 std::vector<double>
 flatten(const std::vector<std::vector<double>>& rows)
 {
@@ -100,7 +115,8 @@ TEST(CompiledTree, FuzzEquivalenceWithOracle)
         ASSERT_TRUE(compiled.compiled());
         EXPECT_EQ(compiled.nodeCount(), tree.nodeCount());
 
-        const auto probes = probesFor(tree, rng, features, 16);
+        auto probes = probesFor(tree, rng, features, 16);
+        sprinkleNaNs(probes, rng);
         std::vector<double> batch(probes.size());
         compiled.predictBatch(flatten(probes), features, batch);
         for (std::size_t p = 0; p < probes.size(); ++p) {
@@ -175,6 +191,7 @@ TEST(CompiledForest, FuzzEquivalenceWithOracle)
                 x.push_back(rng.uniform(-12.0, 12.0));
             probes.push_back(std::move(x));
         }
+        sprinkleNaNs(probes, rng);
         std::vector<double> batch(probes.size());
         compiled.predictBatch(flatten(probes), features, batch);
         for (std::size_t p = 0; p < probes.size(); ++p) {
@@ -219,6 +236,51 @@ TEST(CompiledForest, BatchMatchesSingleAcrossThreadCounts)
             << "tree @ threads=" << threads;
     }
     parallel::setMaxThreads(0);  // restore the environment default
+}
+
+/**
+ * Every batch size from 1 to 70 rows: sizes below 32 run the 16/8/4/2/1
+ * block cascade, larger ones full 32-row blocks plus the backward
+ * overlap of a partial final block. Each size is a fresh batch (a
+ * prefix of one probe set, NaNs included) checked row by row.
+ */
+TEST(CompiledInference, EveryBatchSizeMatchesOracle)
+{
+    Rng rng(1357);
+    const std::size_t features = 6;
+    const auto d = randomDataset(rng, 120, features);
+    ml::DecisionTreeParams tp;
+    tp.maxDepth = 8;
+    ml::DecisionTreeRegressor tree(tp);
+    tree.fit(d);
+    const ml::CompiledTree compiledTree(tree);
+    ml::RandomForestParams fp;
+    fp.numTrees = 7;
+    fp.tree.maxDepth = 6;
+    ml::RandomForestRegressor forest(fp);
+    forest.fit(d);
+    const ml::CompiledForest compiledForest(forest);
+
+    // On-threshold probes first (probesFor appends them after the 70
+    // random ones), then random ones up to 70 rows.
+    auto probes = probesFor(tree, rng, features, 70);
+    std::rotate(probes.begin(), probes.begin() + 70, probes.end());
+    probes.resize(70);
+    sprinkleNaNs(probes, rng);
+    const auto flat = flatten(probes);
+    for (std::size_t rows = 1; rows <= probes.size(); ++rows) {
+        const std::span<const double> batch(flat.data(), rows * features);
+        std::vector<double> treeOut(rows);
+        std::vector<double> forestOut(rows);
+        compiledTree.predictBatch(batch, features, treeOut);
+        compiledForest.predictBatch(batch, features, forestOut);
+        for (std::size_t r = 0; r < rows; ++r) {
+            ASSERT_EQ(tree.predict(probes[r]), treeOut[r])
+                << "tree, batch " << rows << ", row " << r;
+            ASSERT_EQ(forest.predict(probes[r]), forestOut[r])
+                << "forest, batch " << rows << ", row " << r;
+        }
+    }
 }
 
 /** The real campaign: compiled engines must reproduce the node walk
