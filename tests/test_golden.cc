@@ -1,5 +1,7 @@
 /** @file Behaviour fingerprint (`ctest -L golden`): pins, bit for bit,
- * each of the 45 profiled workload traces, the Table-IV campaign
+ * each of the 45 profiled workload traces, the float outputs of the
+ * vision primitives whose bits a trace cannot see (gradient magnitude
+ * and orientation, HoG and SIFT descriptors), the Table-IV campaign
  * dataset, the fitted default tree, its 91 predictions and the two
  * headline LOOCV means. A refactor that claims
  * to change no behaviour proves it by leaving every pin green. The
@@ -12,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +26,11 @@
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
 #include "predictor/schemes.h"
+#include "vision/hog.h"
+#include "vision/objrec.h"
+#include "vision/ops.h"
 #include "vision/registry.h"
+#include "vision/sift.h"
 
 namespace {
 
@@ -95,6 +102,17 @@ constexpr TracePin kTracePins[] = {
     {"FACEDET", 320, 0x3e7e859454a258b7ull},
 };
 
+/** Hasher digests of vision outputs over the first kPinnedImages images
+ * of the campaign's OBJREC batch at size 20. A trace records only
+ * instruction counts, so these pins are what sees an orientation or
+ * descriptor bit move. */
+constexpr int kPinnedImages = 4;
+constexpr std::uint64_t kPolarMagHash = 0xbdd05e63ad55ed8eull;
+constexpr std::uint64_t kPolarOrientHash = 0x6a995b515e64f323ull;
+constexpr std::uint64_t kHogObjRecHash = 0x774b738f54b63ac1ull;
+constexpr std::uint64_t kHogDefaultHash = 0x6aed5834a4747c68ull;
+constexpr std::uint64_t kSiftHash = 0x87a0774cf929a223ull;
+
 std::string
 hex(std::uint64_t v)
 {
@@ -128,6 +146,40 @@ model()
     return fitted;
 }
 
+/** The pinned images: generateBatch exactly as profileWorkload calls
+ * it for OBJREC@20 (default seed 0, folded with the batch size). */
+const std::vector<vision::Image>&
+pinnedImages()
+{
+    static const std::vector<vision::Image> images = [] {
+        constexpr int batch = 20;
+        auto all = vision::generateBatch(
+            vision::BenchmarkId::ObjRec, batch,
+            static_cast<std::uint64_t>(batch) * 31ull);
+        all.resize(kPinnedImages);
+        return all;
+    }();
+    return images;
+}
+
+/** Fold each float's bit pattern (not its value) into h. */
+void
+addBits(cache::Hasher& h, std::span<const float> values)
+{
+    h.add(static_cast<std::uint64_t>(values.size()));
+    for (float v : values)
+        h.add(static_cast<std::uint64_t>(std::bit_cast<std::uint32_t>(v)));
+}
+
+std::uint64_t
+hogDigest(const vision::HogParams& params)
+{
+    cache::Hasher h;
+    for (const auto& img : pinnedImages())
+        addBits(h, vision::computeHog(img, params));
+    return h.digest();
+}
+
 double
 loocvMean(const predictor::PredictorParams& params)
 {
@@ -157,6 +209,41 @@ TEST(Golden, ProfiledTraceDigests)
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hex(kTracePins[i].digest), hex(digests[i]))
             << kTracePins[i].benchmark << "@" << kTracePins[i].batch;
+}
+
+TEST(Golden, GradientPolarBits)
+{
+    cache::Hasher mag_h;
+    cache::Hasher orient_h;
+    for (const auto& img : pinnedImages()) {
+        vision::Image gx, gy, mag, orient;
+        vision::ops::sobel(img, gx, gy);
+        vision::ops::gradientPolar(gx, gy, mag, orient);
+        addBits(mag_h, mag.data());
+        addBits(orient_h, orient.data());
+    }
+    EXPECT_EQ(hex(kPolarMagHash), hex(mag_h.digest()));
+    EXPECT_EQ(hex(kPolarOrientHash), hex(orient_h.digest()));
+}
+
+TEST(Golden, HogDescriptorBits)
+{
+    EXPECT_EQ(hex(kHogObjRecHash), hex(hogDigest(vision::ObjRecParams{}.hog)))
+        << "ObjRec's HoG parameters";
+    EXPECT_EQ(hex(kHogDefaultHash), hex(hogDigest(vision::HogParams{})))
+        << "default HoG parameters";
+}
+
+TEST(Golden, SiftDescriptorBits)
+{
+    cache::Hasher h;
+    for (const auto& img : pinnedImages()) {
+        const auto result = vision::detectSift(img);
+        h.add(static_cast<std::uint64_t>(result.descriptors.size()));
+        for (const auto& d : result.descriptors)
+            addBits(h, d);
+    }
+    EXPECT_EQ(hex(kSiftHash), hex(h.digest()));
 }
 
 TEST(Golden, CampaignDatasetHash)
