@@ -10,7 +10,8 @@
  * before/after ratio is measured under one machine state. The campaign-
  * shaped cases use the sizes a cold profiling run sees: KNN's distance
  * matrix (a tenth of KNN@320's 7,600 queries), SIFT's widest blur,
- * ObjRec's HoG grid and the synthetic scene generator.
+ * the gradient polar pass and ObjRec's HoG grid over a campaign ObjRec
+ * image, and the synthetic scene generator.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@
 #include "vision/objrec.h"
 #include "vision/ops.h"
 #include "vision/orb.h"
+#include "vision/registry.h"
 #include "vision/sift.h"
 #include "vision/surf.h"
 #include "vision/svm.h"
@@ -230,6 +232,28 @@ BENCHMARK_TEMPLATE(BM_GaussianBlurSiftTop, false)
     ->Name("BM_GaussianBlurSiftTop");
 BENCHMARK_TEMPLATE(BM_GaussianBlurSiftTop, true)
     ->Name("BM_GaussianBlurSiftTopReference");
+
+template <bool kReference>
+void
+BM_GradientPolar(benchmark::State& state)
+{
+    // Sobel output of OBJREC@320's first image (profileWorkload's seed).
+    const Image img = generateBatch(BenchmarkId::ObjRec, 1, 320 * 31)[0];
+    Image gx, gy, mag, orient;
+    ops::sobel(img, gx, gy);
+    for (auto _ : state) {
+        if constexpr (kReference)
+            reference::gradientPolar(gx, gy, mag, orient);
+        else
+            ops::gradientPolar(gx, gy, mag, orient);
+        benchmark::DoNotOptimize(orient.data().data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(img.pixels()));
+}
+BENCHMARK_TEMPLATE(BM_GradientPolar, false)->Name("BM_GradientPolar");
+BENCHMARK_TEMPLATE(BM_GradientPolar, true)
+    ->Name("BM_GradientPolarReference");
 
 template <bool kReference>
 void

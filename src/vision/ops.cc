@@ -1,8 +1,11 @@
 #include "vision/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "profiler/op_profiler.h"
@@ -199,6 +202,196 @@ panelDistances(const double* __restrict__ query,
     out[7] = a7;
 }
 
+/*
+ * Four-lane float arctangent, a transcription of fdlibm's e_atan2f.c
+ * and s_atanf.c (the algorithm glibc's atan2f runs on x86-64). Each
+ * lane performs fdlibm's float operations in fdlibm's order, so every
+ * result is bit-identical to that scalar code; the branches become
+ * per-lane selects. Bit identity needs every product rounded on its
+ * own: the build passes -ffp-contract=off so no multiply-add is fused.
+ */
+using F4 = float __attribute__((vector_size(16)));
+using I4 = std::int32_t __attribute__((vector_size(16)));
+
+constexpr float kTiny = 1.0e-30f;
+constexpr float kPiO4 = 7.8539818525e-01f;   // 0x3f490fdb
+constexpr float kPiO2 = 1.5707963705e+00f;   // 0x3fc90fdb
+constexpr float kPi = 3.1415927410e+00f;     // 0x40490fdb
+constexpr float kPiLo = -8.7422776573e-08f;  // 0xb3bbbd2e
+
+/** atan(0.5), atan(1), atan(1.5) and atan(inf), each as hi + lo. */
+constexpr float kAtanHi[] = {4.6364760399e-01f, 7.8539812565e-01f,
+                             9.8279368877e-01f, 1.5707962513e+00f};
+constexpr float kAtanLo[] = {5.0121582440e-09f, 3.7748947079e-08f,
+                             3.4473217170e-08f, 7.5497894159e-08f};
+
+/** The 11 coefficients of atanf's odd/even polynomial. */
+constexpr float kAtanT[] = {
+    3.3333334327e-01f,  -2.0000000298e-01f, 1.4285714924e-01f,
+    -1.1111110449e-01f, 9.0908870101e-02f,  -7.6918758452e-02f,
+    6.6610731184e-02f,  -5.8335702866e-02f, 4.9768779427e-02f,
+    -3.6531571299e-02f, 1.6285819933e-02f};
+
+F4
+splat(float v)
+{
+    return F4{v, v, v, v};
+}
+
+/** mask ? a : b per lane; mask lanes are all ones or all zeros. */
+F4
+select(I4 mask, F4 a, F4 b)
+{
+    return std::bit_cast<F4>((mask & std::bit_cast<I4>(a)) |
+                             (~mask & std::bit_cast<I4>(b)));
+}
+
+/** fdlibm's atan2f branches for a NaN or infinite y or x. */
+float
+atan2NonFinite(float y, float x)
+{
+    const auto hx = std::bit_cast<std::int32_t>(x);
+    const auto hy = std::bit_cast<std::int32_t>(y);
+    const std::int32_t ix = hx & 0x7fffffff;
+    const std::int32_t iy = hy & 0x7fffffff;
+    // fdlibm returns x + y; on x86 that yields x's payload when both
+    // are NaN, which the two sums spell out whatever the operand order.
+    if (ix > 0x7f800000)
+        return x + x;
+    if (iy > 0x7f800000)
+        return y + y;
+    const int m = ((hy >> 31) & 1) | ((hx >> 30) & 2);  // 2 sign(x) + sign(y)
+    if (iy == 0)  // x = +-inf
+        return m < 2 ? y : (m == 2 ? kPi + kTiny : -kPi - kTiny);
+    if (ix == 0)  // y = +-inf
+        return hy < 0 ? -kPiO2 - kTiny : kPiO2 + kTiny;
+    if (ix == 0x7f800000) {
+        if (iy == 0x7f800000) {
+            switch (m) {
+              case 0: return kPiO4 + kTiny;
+              case 1: return -kPiO4 - kTiny;
+              case 2: return 3.0f * kPiO4 + kTiny;
+              default: return -3.0f * kPiO4 - kTiny;
+            }
+        }
+        switch (m) {
+          case 0: return 0.0f;
+          case 1: return -0.0f;
+          case 2: return kPi + kTiny;
+          default: return -kPi - kTiny;
+        }
+    }
+    return hy < 0 ? -kPiO2 - kTiny : kPiO2 + kTiny;  // y = +-inf
+}
+
+/** atan2f(y, x) for four lanes of finite y and x. */
+F4
+atan2Finite(F4 y, F4 x)
+{
+    const I4 hx = std::bit_cast<I4>(x);
+    const I4 hy = std::bit_cast<I4>(y);
+    const I4 ix = hx & 0x7fffffff;
+    const I4 iy = hy & 0x7fffffff;
+    const I4 xNeg = hx < 0;
+    const I4 yNeg = hy < 0;
+
+    // atanf(|y / x|). Its argument reductions are one
+    // (a r + b) / (c r + d) with per-lane coefficients:
+    //   r < 7/16         r / 1                   (no table term)
+    //   r < 11/16        (2r - 1) / (2 + r)      atan(0.5)
+    //   r < 19/16        (r - 1) / (r + 1)       atan(1)
+    //   r < 39/16        (r - 1.5) / (1 + 1.5r)  atan(1.5)
+    //   otherwise        -1 / r                  atan(inf)
+    // atanf returns its argument below 2^-29 and atan(inf) from 2^25
+    // on; those lanes (NaN quotients too) reduce r = 0 instead, which
+    // keeps subnormals, and their slow microcode path, out of the
+    // polynomial.
+    const F4 q = std::bit_cast<F4>(std::bit_cast<I4>(y / x) & 0x7fffffff);
+    const I4 iq = std::bit_cast<I4>(q);
+    const I4 tinyQ = iq < 0x31000000;
+    const I4 hugeQ = iq >= 0x4c000000;
+    const F4 r = select(tinyQ | hugeQ, splat(0.0f), q);
+    const I4 ir = std::bit_cast<I4>(r);
+    const I4 below7 = ir < 0x3ee00000;
+    const I4 below11 = ir < 0x3f300000;
+    const I4 below19 = ir < 0x3f980000;
+    const I4 below39 = ir < 0x401c0000;
+    F4 a = select(below39, splat(1.0f), splat(0.0f));
+    F4 b = select(below39, splat(-1.5f), splat(-1.0f));
+    F4 c = select(below39, splat(1.5f), splat(1.0f));
+    F4 d = select(below39, splat(1.0f), splat(0.0f));
+    F4 hi = select(below39, splat(kAtanHi[2]), splat(kAtanHi[3]));
+    F4 lo = select(below39, splat(kAtanLo[2]), splat(kAtanLo[3]));
+    b = select(below19, splat(-1.0f), b);
+    c = select(below19, splat(1.0f), c);
+    hi = select(below19, splat(kAtanHi[1]), hi);
+    lo = select(below19, splat(kAtanLo[1]), lo);
+    a = select(below11, splat(2.0f), a);
+    d = select(below11, splat(2.0f), d);
+    hi = select(below11, splat(kAtanHi[0]), hi);
+    lo = select(below11, splat(kAtanLo[0]), lo);
+    a = select(below7, splat(1.0f), a);
+    b = select(below7, splat(0.0f), b);
+    c = select(below7, splat(0.0f), c);
+    d = select(below7, splat(1.0f), d);
+    const F4 t = (a * r + b) / (c * r + d);
+
+    const F4 z = t * t;
+    const F4 w = z * z;
+    const F4 s1 =
+        z * (kAtanT[0] +
+             w * (kAtanT[2] +
+                  w * (kAtanT[4] +
+                       w * (kAtanT[6] + w * (kAtanT[8] + w * kAtanT[10])))));
+    const F4 s2 =
+        w * (kAtanT[1] +
+             w * (kAtanT[3] +
+                  w * (kAtanT[5] + w * (kAtanT[7] + w * kAtanT[9]))));
+    F4 at = select(below7, t - t * (s1 + s2),
+                   hi - ((t * (s1 + s2) - lo) - t));
+    at = select(tinyQ, q, at);
+    at = select(hugeQ, splat(kAtanHi[3] + kAtanLo[3]), at);
+
+    // atan2f: fdlibm skips the division when |y / x| is beyond 2^+-60
+    // (k is the exponent difference), then places z in y and x's
+    // quadrant. Its x == 1 shortcut, atanf(y), equals this path.
+    const I4 k = (iy - ix) >> 23;
+    at = select(k > 60, splat(kPiO2 + 0.5f * kPiLo), at);
+    at = select(xNeg & (k < -60), splat(0.0f), at);
+    const F4 atLo = at - kPiLo;
+    F4 out = select(xNeg, select(yNeg, atLo - kPi, kPi - atLo),
+                    select(yNeg, -at, at));
+    out = select(ix == 0,
+                 select(yNeg, splat(-kPiO2 - kTiny), splat(kPiO2 + kTiny)),
+                 out);
+    return select(iy == 0,
+                  select(xNeg,
+                         select(yNeg, splat(-kPi - kTiny), splat(kPi + kTiny)),
+                         y),
+                  out);
+}
+
+/** out[i] = atan2f(y[i], x[i]) for i in [0, 4). */
+void
+atan2Block(const float* y, const float* x, float* out)
+{
+    F4 vy;
+    F4 vx;
+    std::memcpy(&vy, y, sizeof(vy));
+    std::memcpy(&vx, x, sizeof(vx));
+    const F4 result = atan2Finite(vy, vx);
+    std::memcpy(out, &result, sizeof(result));
+    const I4 nonFinite =
+        ((std::bit_cast<I4>(vx) & 0x7fffffff) >= 0x7f800000) |
+        ((std::bit_cast<I4>(vy) & 0x7fffffff) >= 0x7f800000);
+    const auto halves = std::bit_cast<std::array<std::uint64_t, 2>>(nonFinite);
+    if ((halves[0] | halves[1]) == 0)
+        return;
+    for (int i = 0; i < 4; ++i)
+        if (nonFinite[i])
+            out[i] = atan2NonFinite(y[i], x[i]);
+}
+
 }  // namespace
 
 Image
@@ -353,8 +546,25 @@ gradientPolar(const Image& gx, const Image& gy, Image& mag, Image& orient)
             const float dx = gx.at(x, y);
             const float dy = gy.at(x, y);
             mag.at(x, y) = std::sqrt(dx * dx + dy * dy);
-            orient.at(x, y) = std::atan2(dy, dx);
         }
+    }
+    // Orientation, four pixels a step; the last 1-3 go through a block
+    // padded with finite lanes.
+    const float* dx = gx.data().data();
+    const float* dy = gy.data().data();
+    float* angle = orient.data().data();
+    const std::size_t n = gx.pixels();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4)
+        atan2Block(dy + i, dx + i, angle + i);
+    if (i < n) {
+        float ys[4] = {1.0f, 1.0f, 1.0f, 1.0f};
+        float xs[4] = {1.0f, 1.0f, 1.0f, 1.0f};
+        float out[4];
+        std::copy(dy + i, dy + n, ys);
+        std::copy(dx + i, dx + n, xs);
+        atan2Block(ys, xs, out);
+        std::copy(out, out + (n - i), angle + i);
     }
     const auto px = static_cast<InstCount>(gx.pixels());
     PhaseBuilder("gradient_polar")

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/rng.h"
@@ -14,6 +16,7 @@
 #include "profiler/op_profiler.h"
 #include "vision/hog.h"
 #include "vision/ops.h"
+#include "vision/registry.h"
 #include "vision_reference.h"
 
 namespace {
@@ -435,6 +438,188 @@ TEST(OpsOracle, TextureAndRngStream)
                                  reference::texture(w, h, oracleRng, cell)));
             EXPECT_EQ(fastRng.next(), oracleRng.next());
         }
+    }
+}
+
+// gradientPolar's four-lane fdlibm arctangent against the libm loop.
+
+/** Image whose pixels are the given values, in rows of @p width. */
+Image
+imageOf(const std::vector<float>& values, int width)
+{
+    const int height = static_cast<int>(values.size()) / width;
+    Image img(width, height);
+    std::copy(values.begin(),
+              values.begin() + static_cast<std::ptrdiff_t>(img.pixels()),
+              img.data().begin());
+    return img;
+}
+
+/** gradientPolar and its oracle on (gy, gx): identical magnitude and
+ * orientation bits and identical phases. */
+void
+expectPolarMatchesOracle(const Image& gx, const Image& gy)
+{
+    using Pair = std::pair<Image, Image>;
+    expectMatchesOracle(
+        [&] {
+            Pair p;
+            ops::gradientPolar(gx, gy, p.first, p.second);
+            return p;
+        },
+        [&] {
+            Pair p;
+            reference::gradientPolar(gx, gy, p.first, p.second);
+            return p;
+        },
+        [&](const Pair& a, const Pair& b) {
+            const auto mag = sameBits(a.first, b.first);
+            if (!mag)
+                return mag;
+            for (std::size_t i = 0; i < a.second.pixels(); ++i) {
+                const float got = a.second.data()[i];
+                const float want = b.second.data()[i];
+                if (std::bit_cast<std::uint32_t>(got) !=
+                    std::bit_cast<std::uint32_t>(want))
+                    return ::testing::AssertionFailure()
+                           << "atan2(" << std::hexfloat << gy.data()[i]
+                           << ", " << gx.data()[i] << ") = " << got
+                           << ", libm " << want;
+            }
+            return ::testing::AssertionSuccess();
+        });
+}
+
+/** Every (y, x) pair of @p values, one image row per y. */
+void
+expectPolarMatchesOnGrid(const std::vector<float>& values)
+{
+    const int n = static_cast<int>(values.size());
+    Image gx(n, n);
+    Image gy(n, n);
+    for (int y = 0; y < n; ++y) {
+        for (int x = 0; x < n; ++x) {
+            gy.at(x, y) = values[static_cast<std::size_t>(y)];
+            gx.at(x, y) = values[static_cast<std::size_t>(x)];
+        }
+    }
+    expectPolarMatchesOracle(gx, gy);
+}
+
+float
+fromBits(std::uint32_t bits)
+{
+    return std::bit_cast<float>(bits);
+}
+
+TEST(OpsOracle, GradientPolarSpecialOperands)
+{
+    // Signed zeros, x == 1, subnormals, the normal range's ends,
+    // infinities and NaNs, each paired with every other value.
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> values;
+    for (float v : {0.0f, 1.0f, 0.5f, 3.0f, 7.25f, fromBits(1),
+                    fromBits(0x007fffff), std::numeric_limits<float>::min(),
+                    std::numeric_limits<float>::max(), 0x1p60f, 0x1p-60f,
+                    0x1p25f, inf, nan, fromBits(0x7f800001)}) {
+        values.push_back(v);
+        values.push_back(-v);
+    }
+    expectPolarMatchesOnGrid(values);
+}
+
+TEST(OpsOracle, GradientPolarRatioExponents)
+{
+    // |y / x| from 2^-70 to 2^70, a few ulps either side of each power:
+    // crosses the 2^+-60 cuts and atanf's 2^25 saturation, in all four
+    // quadrants and with x far from 1.
+    std::vector<float> ys;
+    std::vector<float> xs;
+    for (int e = -70; e <= 70; ++e) {
+        for (int ulps = -2; ulps <= 2; ++ulps) {
+            const float y = std::ldexp(
+                fromBits(static_cast<std::uint32_t>(0x3f800000 + ulps)), e);
+            for (float x : {1.0f, 1.25f, 0x1p-20f, 0x1p20f}) {
+                for (float sy : {1.0f, -1.0f}) {
+                    for (float sx : {1.0f, -1.0f}) {
+                        ys.push_back(sy * y * x);
+                        xs.push_back(sx * x);
+                    }
+                }
+            }
+        }
+    }
+    expectPolarMatchesOracle(imageOf(xs, 16), imageOf(ys, 16));
+}
+
+TEST(OpsOracle, GradientPolarReductionBoundaries)
+{
+    // r = |y / x| within a few ulps of atanf's interval ends 7/16,
+    // 11/16, 19/16 and 39/16 (and 2^-29, 2^25); x = 2 and 0.25 keep
+    // y / x exact.
+    std::vector<float> ys;
+    std::vector<float> xs;
+    for (float edge : {7.0f / 16, 11.0f / 16, 19.0f / 16, 39.0f / 16,
+                       0x1p-29f, 0x1p25f}) {
+        const auto bits = std::bit_cast<std::uint32_t>(edge);
+        for (std::uint32_t b = bits - 3; b <= bits + 3; ++b) {
+            const float r = fromBits(b);
+            for (float x : {2.0f, -2.0f, 0.25f, -0.25f}) {
+                ys.push_back(r * x);
+                xs.push_back(x);
+                ys.push_back(-r * x);
+                xs.push_back(x);
+            }
+        }
+    }
+    expectPolarMatchesOracle(imageOf(xs, 8), imageOf(ys, 8));
+}
+
+TEST(OpsOracle, GradientPolarTailWidths)
+{
+    // Widths whose pixel counts leave 1-3 lanes for the padded block,
+    // with a NaN and an infinity landing in the tail.
+    std::uint64_t seed = 600;
+    for (auto [w, h] : {std::pair{1, 1}, std::pair{2, 1}, std::pair{3, 1},
+                        std::pair{5, 1}, std::pair{5, 3}, std::pair{7, 7}}) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+        Image gx = signedImage(w, h, ++seed);
+        Image gy = signedImage(w, h, ++seed);
+        expectPolarMatchesOracle(gx, gy);
+        gx.data().back() = std::numeric_limits<float>::quiet_NaN();
+        gy.data().front() = -std::numeric_limits<float>::infinity();
+        expectPolarMatchesOracle(gx, gy);
+    }
+}
+
+TEST(OpsOracle, GradientPolarOnSobelOfCampaignImages)
+{
+    const auto batch = generateBatch(BenchmarkId::ObjRec, 2, 7);
+    for (const auto& img : batch) {
+        Image gx, gy;
+        ops::sobel(img, gx, gy);
+        expectPolarMatchesOracle(gx, gy);
+    }
+}
+
+TEST(OpsOracle, GradientPolarStridedSweep)
+{
+    // 10,240,000 (y, x) bit patterns from two Weyl sequences over the
+    // 32-bit space: every exponent, sign, subnormal, infinity and NaN.
+    constexpr int kWidth = 1024;
+    constexpr int kRows = 1000;
+    constexpr int kChunks = 10;
+    std::uint32_t yBits = 0x2545f491u;
+    std::uint32_t xBits = 0x6c078965u;
+    for (int chunk = 0; chunk < kChunks; ++chunk) {
+        Image gx(kWidth, kRows);
+        Image gy(kWidth, kRows);
+        for (std::size_t i = 0; i < gx.pixels(); ++i) {
+            gy.data()[i] = fromBits(yBits += 0x9e3779b9u);
+            gx.data()[i] = fromBits(xBits += 0x7f4a7c15u);
+        }
+        expectPolarMatchesOracle(gx, gy);
     }
 }
 

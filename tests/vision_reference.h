@@ -6,7 +6,8 @@
  *
  * Each function here must produce bit-identical outputs and record the
  * same KernelPhase as its namesake in vision::ops, vision::synth or
- * vision::computeHog. tests/test_ops.cc fuzzes the pairs against each
+ * vision::computeHog. The arctangent oracle is the host libm's atan2f,
+ * which glibc computes with the fdlibm algorithm ops.cc transcribes. tests/test_ops.cc fuzzes the pairs against each
  * other, and bench_micro_kernels times these loops as the in-process
  * "before" baseline so a reported speedup is measured under one machine
  * state.
@@ -169,6 +170,38 @@ sobel(const Image& img, Image& gx, Image& gy)
         .record();
 }
 
+/** gradientPolar with its per-pixel libm arctangent: the oracle for the
+ * four-lane fdlibm transcription in ops.cc. */
+inline void
+gradientPolar(const Image& gx, const Image& gy, Image& mag, Image& orient)
+{
+    mag = Image(gx.width(), gx.height());
+    orient = Image(gx.width(), gx.height());
+    for (int y = 0; y < gx.height(); ++y) {
+        for (int x = 0; x < gx.width(); ++x) {
+            const float dx = gx.at(x, y);
+            const float dy = gy.at(x, y);
+            mag.at(x, y) = std::sqrt(dx * dx + dy * dy);
+            orient.at(x, y) = std::atan2(dy, dx);
+        }
+    }
+    const auto px = static_cast<InstCount>(gx.pixels());
+    ops::PhaseBuilder("gradient_polar")
+        .insts(InstClass::MemRead, px * 2)
+        .insts(InstClass::FpAlu, px * 14)  // sqrt + atan2 expansions
+        .insts(InstClass::MemWrite, px * 2)
+        .insts(InstClass::IntAlu, px * 2)
+        .insts(InstClass::Control, px)
+        .read(px * 2 * kF)
+        .write(px * 2 * kF)
+        .foot(gx.sizeBytes() * 4)
+        .par(0.98)
+        .items(px)
+        .loc(0.9)
+        .div(0.02)
+        .record();
+}
+
 inline Image
 downsample2x(const Image& img)
 {
@@ -323,13 +356,13 @@ texture(int w, int h, Rng& rng, int cell_size)
 }
 
 /** computeHog before its per-pixel cell divisions were hoisted (the
- * Sobel pass is the reference one too). */
+ * Sobel and polar passes are the reference ones too). */
 inline Descriptor
 computeHog(const Image& img, const HogParams& params)
 {
     Image gx, gy, mag, orient;
     sobel(img, gx, gy);
-    ops::gradientPolar(gx, gy, mag, orient);
+    gradientPolar(gx, gy, mag, orient);
 
     const int cellsX = img.width() / params.cellSize;
     const int cellsY = img.height() / params.cellSize;
