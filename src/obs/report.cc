@@ -168,44 +168,58 @@ childOf(PhaseNode& parent, const std::string& name)
 }
 
 /**
- * Reconstruct the pipeline phase tree from the trace's pid-1 Complete
- * spans: per tid, sort by start time and nest by interval containment.
+ * Reconstruct the pipeline phase tree from the trace's pipeline spans:
+ * per tid, sort by start time and nest by interval containment.
  * A span only nests inside a span of its own thread, so concurrent
  * spans from pool workers never nest inside each other: a phase that
  * ran on four threads at once is not counted inside itself. Worker
  * spans root at the top level, as the live PhaseProfiler roots them.
  */
-PhaseNode
-phaseTreeFromTrace(const JsonValue& doc)
+/** One pipeline (pid 1) Complete span of the trace sidecar. */
+struct Span
 {
-    struct Span
-    {
-        std::string name;
-        int tid = 0;
-        double ts = 0.0;
-        double end = 0.0;
-    };
+    std::string name;
+    std::string member;  ///< its "member" arg, e.g. "OBJREC@320", or ""
+    int tid = 0;
+    double ts = 0.0;
+    double end = 0.0;
+};
+
+std::vector<Span>
+pipelineSpans(const JsonValue& doc)
+{
     std::vector<Span> spans;
-    if (const JsonValue* events = doc.find("traceEvents");
-        events != nullptr && events->isArray()) {
-        for (const auto& e : events->items()) {
-            if (!e.isObject())
-                continue;
-            const JsonValue* ph = e.find("ph");
-            if (ph == nullptr || ph->text() != "X")
-                continue;
-            if (static_cast<int>(e.memberNumberOr("pid", -1.0)) !=
-                kPipelineTrackPid)
-                continue;
-            Span span;
-            if (const JsonValue* name = e.find("name"))
-                span.name = name->text();
-            span.tid = static_cast<int>(e.memberNumberOr("tid", 0.0));
-            span.ts = e.memberNumberOr("ts", 0.0);
-            span.end = span.ts + e.memberNumberOr("dur", 0.0);
-            spans.push_back(std::move(span));
+    const JsonValue* events = doc.find("traceEvents");
+    if (events == nullptr || !events->isArray())
+        return spans;
+    for (const auto& e : events->items()) {
+        if (!e.isObject())
+            continue;
+        const JsonValue* ph = e.find("ph");
+        if (ph == nullptr || ph->text() != "X")
+            continue;
+        if (static_cast<int>(e.memberNumberOr("pid", -1.0)) !=
+            kPipelineTrackPid)
+            continue;
+        Span span;
+        if (const JsonValue* name = e.find("name"))
+            span.name = name->text();
+        if (const JsonValue* args = e.find("args");
+            args != nullptr && args->isObject()) {
+            if (const JsonValue* member = args->find("member"))
+                span.member = member->text();
         }
+        span.tid = static_cast<int>(e.memberNumberOr("tid", 0.0));
+        span.ts = e.memberNumberOr("ts", 0.0);
+        span.end = span.ts + e.memberNumberOr("dur", 0.0);
+        spans.push_back(std::move(span));
     }
+    return spans;
+}
+
+PhaseNode
+phaseTreeFromSpans(std::vector<Span> spans)
+{
     std::stable_sort(spans.begin(), spans.end(),
                      [](const Span& a, const Span& b) {
                          return a.tid != b.tid ? a.tid < b.tid
@@ -238,6 +252,61 @@ phaseTreeFromTrace(const JsonValue& doc)
         stack.push_back(Open{&node, span.ts, span.end});
     }
     return root;
+}
+
+/** Wall time of the spans tagged with one campaign member. */
+struct MemberCost
+{
+    std::string member;
+    double seconds = 0.0;
+    std::uint64_t count = 0;
+};
+
+/** Per-member totals of the member-tagged spans, costliest first. */
+std::vector<MemberCost>
+memberCosts(const std::vector<Span>& spans)
+{
+    std::vector<MemberCost> costs;
+    for (const auto& span : spans) {
+        if (span.member.empty())
+            continue;
+        auto it = std::find_if(costs.begin(), costs.end(),
+                               [&](const MemberCost& c) {
+                                   return c.member == span.member;
+                               });
+        if (it == costs.end())
+            it = costs.insert(costs.end(), MemberCost{span.member, 0.0, 0});
+        it->seconds += (span.end - span.ts) / 1e6;
+        it->count += 1;
+    }
+    std::stable_sort(costs.begin(), costs.end(),
+                     [](const MemberCost& a, const MemberCost& b) {
+                         return a.seconds > b.seconds;
+                     });
+    return costs;
+}
+
+/** Rows of the costliest-members table. */
+constexpr std::size_t kTopMembers = 10;
+
+void
+renderMemberCostSection(std::string& out,
+                        const std::vector<MemberCost>& costs)
+{
+    out += "## Costliest members\n\n";
+    if (costs.empty()) {
+        out += "(no pipeline span in the trace names a member)\n\n";
+        return;
+    }
+    out += "| member | ms | spans |\n|---|---|---|\n";
+    for (std::size_t i = 0; i < std::min(costs.size(), kTopMembers); ++i)
+        out += "| `" + costs[i].member + "` | " +
+               fmt(costs[i].seconds * 1e3, "%.3f") + " | " +
+               std::to_string(costs[i].count) + " |\n";
+    if (costs.size() > kTopMembers)
+        out += "\n(" + std::to_string(costs.size() - kTopMembers) +
+               " cheaper members not shown)\n";
+    out += "\n";
 }
 
 void
@@ -517,7 +586,7 @@ renderRunReport(const RunReportInputs& inputs)
     }
 
     bool haveTrace = false;
-    PhaseNode phaseRoot;
+    std::vector<Span> spans;
     if (!inputs.tracePath.empty()) {
         auto text = readFile(inputs.tracePath);
         if (!text.ok())
@@ -525,12 +594,14 @@ renderRunReport(const RunReportInputs& inputs)
         auto doc = parseJson(text.value(), inputs.tracePath);
         if (!doc.ok())
             return Result<std::string>(doc.error());
-        phaseRoot = phaseTreeFromTrace(doc.value());
+        spans = pipelineSpans(doc.value());
         haveTrace = true;
         out += "- trace: `" + inputs.tracePath + "`\n";
     }
     out += "\n";
 
+    const std::vector<MemberCost> costs = memberCosts(spans);
+    const PhaseNode phaseRoot = phaseTreeFromSpans(std::move(spans));
     out += "## Phase tree\n\n";
     if (!haveTrace) {
         out += "(no trace sidecar given — rerun with "
@@ -542,6 +613,8 @@ renderRunReport(const RunReportInputs& inputs)
             renderPhaseNode(out, child, 0);
         out += "\n";
     }
+    if (haveTrace)
+        renderMemberCostSection(out, costs);
 
     renderLatencySection(out, snap);
     renderQualitySection(out, snap);

@@ -5,7 +5,8 @@
  * (`--metrics-out`), the prediction provenance JSONL
  * (`--predictions-out`) and the Chrome trace (`--trace-out`) — and
  * renders one self-contained markdown document: the pipeline phase
- * tree, latency percentiles (p50/p95/p99 from histogram snapshots),
+ * tree, the campaign members whose spans cost the most wall time,
+ * latency percentiles (p50/p95/p99 from histogram snapshots),
  * the prediction-error distribution, the highest-error predictions
  * with their provenance, and any feature-drift flags.
  */

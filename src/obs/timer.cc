@@ -135,8 +135,9 @@ pipelineTid(Tracer& tr)
 
 }  // namespace
 
-ScopedPhase::ScopedPhase(PhaseProfiler& profiler, std::string_view name)
-    : profiler_(profiler), name_(name)
+ScopedPhase::ScopedPhase(PhaseProfiler& profiler, std::string_view name,
+                         std::vector<TraceArg> args)
+    : profiler_(profiler), name_(name), args_(std::move(args))
 {
     profiler_.enter(name_);
     if (tracer().enabled())
@@ -152,7 +153,8 @@ ScopedPhase::~ScopedPhase()
     Tracer& tr = tracer();
     if (tr.enabled()) {
         tr.completeEvent(name_, "pipeline", startUs_, seconds * 1e6,
-                         kPipelineTrackPid, pipelineTid(tr));
+                         kPipelineTrackPid, pipelineTid(tr),
+                         std::move(args_));
     }
 }
 

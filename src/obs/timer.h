@@ -7,7 +7,8 @@
  * so nested scopes reconstruct the pipeline's phase tree (feature
  * extraction → fairness measurement → tree training → LOOCV) with
  * per-phase call counts and accumulated time. When the global tracer
- * is enabled, ScopedPhase also records its span on the pipeline track.
+ * is enabled, ScopedPhase also records its span on the pipeline track,
+ * with optional args (e.g. which campaign member a span worked on).
  */
 
 #ifndef MAPP_OBS_TIMER_H
@@ -21,9 +22,11 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace mapp::obs {
 
@@ -130,17 +133,19 @@ PhaseProfiler& pipelineProfiler();
 /**
  * RAII phase scope: enters @p name on @p profiler, exits with the
  * measured wall time, and mirrors the span onto the tracer's pipeline
- * track when tracing is enabled.
+ * track, carrying @p args, when tracing is enabled.
  */
 class ScopedPhase
 {
   public:
-    explicit ScopedPhase(std::string_view name)
-        : ScopedPhase(pipelineProfiler(), name)
+    explicit ScopedPhase(std::string_view name,
+                         std::vector<TraceArg> args = {})
+        : ScopedPhase(pipelineProfiler(), name, std::move(args))
     {
     }
 
-    ScopedPhase(PhaseProfiler& profiler, std::string_view name);
+    ScopedPhase(PhaseProfiler& profiler, std::string_view name,
+                std::vector<TraceArg> args = {});
 
     ScopedPhase(const ScopedPhase&) = delete;
     ScopedPhase& operator=(const ScopedPhase&) = delete;
@@ -150,6 +155,7 @@ class ScopedPhase
   private:
     PhaseProfiler& profiler_;
     std::string name_;
+    std::vector<TraceArg> args_;
     double startUs_ = 0.0;  ///< tracer wall clock at entry
     std::chrono::steady_clock::time_point start_ =
         std::chrono::steady_clock::now();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <set>
 #include <span>
-#include <sstream>
 
 #include "cache/artifact_cache.h"
 #include "cache/binary_io.h"
@@ -43,12 +42,15 @@ BagSpec::canonical() const
 }
 
 std::string
+BagMember::label() const
+{
+    return vision::benchmarkName(id) + '@' + std::to_string(batchSize);
+}
+
+std::string
 BagSpec::label() const
 {
-    std::ostringstream os;
-    os << vision::benchmarkName(a.id) << '@' << a.batchSize << '+'
-       << vision::benchmarkName(b.id) << '@' << b.batchSize;
-    return os.str();
+    return a.label() + '+' + b.label();
 }
 
 std::string
@@ -332,7 +334,9 @@ DataCollector::ensureMember(const BagMember& member)
     if (loaded) {
         rec = std::move(*loaded);
     } else {
-        const obs::ScopedPhase phase("feature-extraction");
+        const obs::ScopedPhase phase(
+            "feature-extraction",
+            {obs::TraceArg::str("member", member.label())});
         const auto& trace =
             vision::cachedTrace(member.id, member.batchSize);
         rec.threads = params_.forcedThreads > 0

@@ -32,6 +32,9 @@ struct BagMember
     vision::BenchmarkId id = vision::BenchmarkId::Fast;
     int batchSize = 20;
 
+    /** "FAST@20" style label. */
+    std::string label() const;
+
     bool operator<(const BagMember& rhs) const;
     bool operator==(const BagMember& rhs) const = default;
 };

@@ -379,6 +379,72 @@ TEST(Report, PipelineSpansCarryTheirThreadsTid)
         EXPECT_EQ(namedTids.count(tid), 1u) << "tid " << tid;
 }
 
+TEST(Report, ScopedPhaseArgsReachTheSpan)
+{
+    obs::Tracer& tr = obs::tracer();
+    const bool wasEnabled = tr.enabled();
+    tr.setEnabled(true);
+    tr.clear();
+    obs::PhaseProfiler profiler;
+    {
+        const obs::ScopedPhase p(profiler, "feature-extraction",
+                                 {obs::TraceArg::str("member", "SIFT@40")});
+    }
+    std::vector<obs::TraceArg> args;
+    for (const auto& e : tr.snapshot())
+        if (e.kind == obs::TraceEventKind::Complete &&
+            e.name == "feature-extraction")
+            args = e.args;
+    tr.clear();
+    tr.setEnabled(wasEnabled);
+    ASSERT_EQ(args.size(), 1u);
+    EXPECT_EQ(args[0].key, "member");
+    EXPECT_EQ(args[0].text, "SIFT@40");
+}
+
+TEST(Report, ListsTheCostliestMembers)
+{
+    // Member-tagged spans, one member profiled twice (its costs add up)
+    // and an untagged span that must not appear in the table.
+    obs::Tracer tracer;
+    tracer.setEnabled(true);
+    auto span = [&](const char* member, double ts, double dur, int tid) {
+        tracer.completeEvent("feature-extraction", "pipeline", ts, dur,
+                             obs::kPipelineTrackPid, tid,
+                             {obs::TraceArg::str("member", member)});
+    };
+    span("FAST@20", 0.0, 100.0, 0);
+    span("OBJREC@320", 0.0, 900.0, 1);
+    span("HoG@40", 200.0, 300.0, 0);
+    span("FAST@20", 600.0, 250.0, 0);
+    tracer.completeEvent("tree-training", "pipeline", 2000.0, 5000.0,
+                         obs::kPipelineTrackPid, 0);
+    const std::string trace =
+        writeTemp("report_trace_members.json", tracer.chromeTraceJson());
+    obs::Registry reg;
+    reg.counter("runs").add(1);
+    const std::string metrics =
+        writeTemp("report_metrics_members.json", reg.toJson());
+
+    const auto report =
+        obs::renderRunReport(obs::RunReportInputs{metrics, "", trace});
+    ASSERT_TRUE(report.ok()) << report.error().message();
+    const std::string& text = report.value();
+    const auto section = text.find("## Costliest members");
+    ASSERT_NE(section, std::string::npos) << text;
+    const auto objrec = text.find("| `OBJREC@320` | 0.900 | 1 |", section);
+    const auto fast = text.find("| `FAST@20` | 0.350 | 2 |", section);
+    const auto hog = text.find("| `HoG@40` | 0.300 | 1 |", section);
+    ASSERT_NE(objrec, std::string::npos) << text;
+    ASSERT_NE(fast, std::string::npos) << text;
+    ASSERT_NE(hog, std::string::npos) << text;
+    EXPECT_LT(objrec, fast);  // costliest first
+    EXPECT_LT(fast, hog);
+    EXPECT_EQ(text.find("`tree-training` |"), std::string::npos) << text;
+    std::remove(metrics.c_str());
+    std::remove(trace.c_str());
+}
+
 TEST(Report, OptionalSidecarsDegradeToNotes)
 {
     obs::Registry reg;
