@@ -296,7 +296,7 @@ atan2Finite(F4 y, F4 x)
     const I4 yNeg = hy < 0;
 
     // atanf(|y / x|). Its argument reductions are one
-    // (a r + b) / (c r + d) with per-lane coefficients:
+    // (a r + b) / (c r + a) with per-lane coefficients:
     //   r < 7/16         r / 1                   (no table term)
     //   r < 11/16        (2r - 1) / (2 + r)      atan(0.5)
     //   r < 19/16        (r - 1) / (r + 1)       atan(1)
@@ -319,7 +319,6 @@ atan2Finite(F4 y, F4 x)
     F4 a = select(below39, splat(1.0f), splat(0.0f));
     F4 b = select(below39, splat(-1.5f), splat(-1.0f));
     F4 c = select(below39, splat(1.5f), splat(1.0f));
-    F4 d = select(below39, splat(1.0f), splat(0.0f));
     F4 hi = select(below39, splat(kAtanHi[2]), splat(kAtanHi[3]));
     F4 lo = select(below39, splat(kAtanLo[2]), splat(kAtanLo[3]));
     b = select(below19, splat(-1.0f), b);
@@ -327,14 +326,12 @@ atan2Finite(F4 y, F4 x)
     hi = select(below19, splat(kAtanHi[1]), hi);
     lo = select(below19, splat(kAtanLo[1]), lo);
     a = select(below11, splat(2.0f), a);
-    d = select(below11, splat(2.0f), d);
     hi = select(below11, splat(kAtanHi[0]), hi);
     lo = select(below11, splat(kAtanLo[0]), lo);
     a = select(below7, splat(1.0f), a);
     b = select(below7, splat(0.0f), b);
     c = select(below7, splat(0.0f), c);
-    d = select(below7, splat(1.0f), d);
-    const F4 t = (a * r + b) / (c * r + d);
+    const F4 t = (a * r + b) / (c * r + a);
 
     const F4 z = t * t;
     const F4 w = z * z;
