@@ -204,7 +204,7 @@ panelDistances(const double* __restrict__ query,
 
 /*
  * Four-lane float arctangent, a transcription of fdlibm's e_atan2f.c
- * and s_atanf.c (the algorithm glibc's atan2f runs on x86-64). Each
+ * and s_atanf.c (the algorithm behind glibc 2.36's atan2f). Each
  * lane performs fdlibm's float operations in fdlibm's order, so every
  * result is bit-identical to that scalar code; the branches become
  * per-lane selects. Bit identity needs every product rounded on its
@@ -284,6 +284,47 @@ atan2NonFinite(float y, float x)
     return hy < 0 ? -kPiO2 - kTiny : kPiO2 + kTiny;  // y = +-inf
 }
 
+/** Per-lane masks: r below 7/16, 11/16, 19/16 and 39/16. */
+struct Intervals
+{
+    I4 below7;
+    I4 below11;
+    I4 below19;
+    I4 below39;
+};
+
+constexpr std::int32_t
+bitsOf(float v)
+{
+    return std::bit_cast<std::int32_t>(v);
+}
+
+/**
+ * Per lane, the constant of the atanf interval its r falls in: v[0]
+ * below 7/16, v[1] below 11/16, v[2] below 19/16, v[3] below 39/16,
+ * v[4] beyond. The masks nest, so XOR-ing in each step's difference of
+ * bit patterns leaves every lane with exactly its own interval's bits.
+ */
+F4
+pick(const Intervals& in, const float (&v)[5])
+{
+    I4 bits = I4{} + bitsOf(v[4]);
+    bits ^= in.below39 & (bitsOf(v[3]) ^ bitsOf(v[4]));
+    bits ^= in.below19 & (bitsOf(v[2]) ^ bitsOf(v[3]));
+    bits ^= in.below11 & (bitsOf(v[1]) ^ bitsOf(v[2]));
+    bits ^= in.below7 & (bitsOf(v[0]) ^ bitsOf(v[1]));
+    return std::bit_cast<F4>(bits);
+}
+
+/** Each interval's reduction coefficients and atan(hi + lo) term. */
+constexpr float kRedA[] = {1.0f, 2.0f, 1.0f, 1.0f, 0.0f};
+constexpr float kRedB[] = {0.0f, -1.0f, -1.0f, -1.5f, -1.0f};
+constexpr float kRedC[] = {0.0f, 1.0f, 1.0f, 1.5f, 1.0f};
+constexpr float kRedHi[] = {0.0f, kAtanHi[0], kAtanHi[1], kAtanHi[2],
+                            kAtanHi[3]};
+constexpr float kRedLo[] = {0.0f, kAtanLo[0], kAtanLo[1], kAtanLo[2],
+                            kAtanLo[3]};
+
 /** atan2f(y, x) for four lanes of finite y and x. */
 F4
 atan2Finite(F4 y, F4 x)
@@ -293,7 +334,6 @@ atan2Finite(F4 y, F4 x)
     const I4 ix = hx & 0x7fffffff;
     const I4 iy = hy & 0x7fffffff;
     const I4 xNeg = hx < 0;
-    const I4 yNeg = hy < 0;
 
     // atanf(|y / x|). Its argument reductions are one
     // (a r + b) / (c r + a) with per-lane coefficients:
@@ -312,26 +352,10 @@ atan2Finite(F4 y, F4 x)
     const I4 hugeQ = iq >= 0x4c000000;
     const F4 r = select(tinyQ | hugeQ, splat(0.0f), q);
     const I4 ir = std::bit_cast<I4>(r);
-    const I4 below7 = ir < 0x3ee00000;
-    const I4 below11 = ir < 0x3f300000;
-    const I4 below19 = ir < 0x3f980000;
-    const I4 below39 = ir < 0x401c0000;
-    F4 a = select(below39, splat(1.0f), splat(0.0f));
-    F4 b = select(below39, splat(-1.5f), splat(-1.0f));
-    F4 c = select(below39, splat(1.5f), splat(1.0f));
-    F4 hi = select(below39, splat(kAtanHi[2]), splat(kAtanHi[3]));
-    F4 lo = select(below39, splat(kAtanLo[2]), splat(kAtanLo[3]));
-    b = select(below19, splat(-1.0f), b);
-    c = select(below19, splat(1.0f), c);
-    hi = select(below19, splat(kAtanHi[1]), hi);
-    lo = select(below19, splat(kAtanLo[1]), lo);
-    a = select(below11, splat(2.0f), a);
-    hi = select(below11, splat(kAtanHi[0]), hi);
-    lo = select(below11, splat(kAtanLo[0]), lo);
-    a = select(below7, splat(1.0f), a);
-    b = select(below7, splat(0.0f), b);
-    c = select(below7, splat(0.0f), c);
-    const F4 t = (a * r + b) / (c * r + a);
+    const Intervals in{ir < 0x3ee00000, ir < 0x3f300000, ir < 0x3f980000,
+                       ir < 0x401c0000};
+    const F4 a = pick(in, kRedA);
+    const F4 t = (a * r + pick(in, kRedB)) / (pick(in, kRedC) * r + a);
 
     const F4 z = t * t;
     const F4 w = z * z;
@@ -344,28 +368,27 @@ atan2Finite(F4 y, F4 x)
         w * (kAtanT[1] +
              w * (kAtanT[3] +
                   w * (kAtanT[5] + w * (kAtanT[7] + w * kAtanT[9]))));
-    F4 at = select(below7, t - t * (s1 + s2),
-                   hi - ((t * (s1 + s2) - lo) - t));
+    // fdlibm's hi - ((t (s1 + s2) - lo) - t). Below 7/16 it returns
+    // t - t (s1 + s2) instead, which is this with hi = lo = 0: the
+    // subtractions of zero are exact, and 0 - (p - t) rounds like t - p.
+    F4 at = pick(in, kRedHi) - ((t * (s1 + s2) - pick(in, kRedLo)) - t);
     at = select(tinyQ, q, at);
     at = select(hugeQ, splat(kAtanHi[3] + kAtanLo[3]), at);
 
     // atan2f: fdlibm skips the division when |y / x| is beyond 2^+-60
-    // (k is the exponent difference), then places z in y and x's
-    // quadrant. Its x == 1 shortcut, atanf(y), equals this path.
+    // (k is the exponent difference), then places the angle in x's half
+    // plane. Its x == 1 shortcut, atanf(y), equals this path. Every
+    // branch of atan2f is odd in y, so the sign comes last.
     const I4 k = (iy - ix) >> 23;
     at = select(k > 60, splat(kPiO2 + 0.5f * kPiLo), at);
     at = select(xNeg & (k < -60), splat(0.0f), at);
-    const F4 atLo = at - kPiLo;
-    F4 out = select(xNeg, select(yNeg, atLo - kPi, kPi - atLo),
-                    select(yNeg, -at, at));
-    out = select(ix == 0,
-                 select(yNeg, splat(-kPiO2 - kTiny), splat(kPiO2 + kTiny)),
-                 out);
-    return select(iy == 0,
-                  select(xNeg,
-                         select(yNeg, splat(-kPi - kTiny), splat(kPi + kTiny)),
-                         y),
-                  out);
+    F4 angle = select(xNeg, kPi - (at - kPiLo), at);
+    // fdlibm tests y = 0 before x = 0, so atan2(0, -0) is pi.
+    angle = select(ix == 0, splat(kPiO2 + kTiny), angle);
+    angle = select(iy == 0, select(xNeg, splat(kPi + kTiny), splat(0.0f)),
+                   angle);
+    return std::bit_cast<F4>(std::bit_cast<I4>(angle) ^
+                             (hy & std::numeric_limits<std::int32_t>::min()));
 }
 
 /** out[i] = atan2f(y[i], x[i]) for i in [0, 4). */

@@ -61,7 +61,8 @@ Image gaussianBlur(const Image& img, float sigma);
 /** 3x3 Sobel gradients; writes gx and gy. */
 void sobel(const Image& img, Image& gx, Image& gy);
 
-/** Gradient magnitude and orientation (radians) from gx/gy. */
+/** Gradient magnitude and orientation (radians) from gx/gy. The
+ * orientation is fdlibm's atan2f, bit for bit, on any host libm. */
 void gradientPolar(const Image& gx, const Image& gy, Image& mag,
                    Image& orient);
 
