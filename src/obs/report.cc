@@ -167,14 +167,6 @@ childOf(PhaseNode& parent, const std::string& name)
     return parent.children.back();
 }
 
-/**
- * Reconstruct the pipeline phase tree from the trace's pipeline spans:
- * per tid, sort by start time and nest by interval containment.
- * A span only nests inside a span of its own thread, so concurrent
- * spans from pool workers never nest inside each other: a phase that
- * ran on four threads at once is not counted inside itself. Worker
- * spans root at the top level, as the live PhaseProfiler roots them.
- */
 /** One pipeline (pid 1) Complete span of the trace sidecar. */
 struct Span
 {
@@ -217,6 +209,14 @@ pipelineSpans(const JsonValue& doc)
     return spans;
 }
 
+/**
+ * Reconstruct the pipeline phase tree from the trace's pipeline spans:
+ * per tid, sort by start time and nest by interval containment.
+ * A span only nests inside a span of its own thread, so concurrent
+ * spans from pool workers never nest inside each other: a phase that
+ * ran on four threads at once is not counted inside itself. Worker
+ * spans root at the top level, as the live PhaseProfiler roots them.
+ */
 PhaseNode
 phaseTreeFromSpans(std::vector<Span> spans)
 {

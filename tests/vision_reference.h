@@ -6,11 +6,11 @@
  *
  * Each function here must produce bit-identical outputs and record the
  * same KernelPhase as its namesake in vision::ops, vision::synth or
- * vision::computeHog. The arctangent oracle is the host libm's atan2f,
- * which glibc computes with the fdlibm algorithm ops.cc transcribes. tests/test_ops.cc fuzzes the pairs against each
+ * vision::computeHog. tests/test_ops.cc fuzzes the pairs against each
  * other, and bench_micro_kernels times these loops as the in-process
  * "before" baseline so a reported speedup is measured under one machine
- * state.
+ * state. The arctangent oracle is the host libm's atan2f, which glibc
+ * (2.36) computes with the fdlibm algorithm ops.cc transcribes.
  *
  * Do not optimize or "clean up" these functions: every loop and every
  * expression is the earlier implementation verbatim.
