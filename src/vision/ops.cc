@@ -205,10 +205,11 @@ panelDistances(const double* __restrict__ query,
 /*
  * Four-lane float arctangent, a transcription of fdlibm's e_atan2f.c
  * and s_atanf.c (the algorithm behind glibc 2.36's atan2f). Each
- * lane performs fdlibm's float operations in fdlibm's order, so every
- * result is bit-identical to that scalar code; the branches become
- * per-lane selects. Bit identity needs every product rounded on its
- * own: the build passes -ffp-contract=off so no multiply-add is fused.
+ * lane performs fdlibm's float operations in fdlibm's order, or ones
+ * that round identically (noted where used), so every result is
+ * bit-identical to that scalar code; the branches become per-lane
+ * selects. Bit identity needs every product rounded on its own: the
+ * build passes -ffp-contract=off so no multiply-add is fused.
  */
 using F4 = float __attribute__((vector_size(16)));
 using I4 = std::int32_t __attribute__((vector_size(16)));

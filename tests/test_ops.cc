@@ -443,12 +443,13 @@ TEST(OpsOracle, TextureAndRngStream)
 
 // gradientPolar's four-lane fdlibm arctangent against the libm loop.
 
-/** Image whose pixels are the given values, in rows of @p width. */
+/** Image whose pixels are the given values, in rows of @p width
+ * (a multiple of which values.size() must be). */
 Image
 imageOf(const std::vector<float>& values, int width)
 {
-    const int height = static_cast<int>(values.size()) / width;
-    Image img(width, height);
+    EXPECT_EQ(values.size() % static_cast<std::size_t>(width), 0u);
+    Image img(width, static_cast<int>(values.size()) / width);
     std::copy(values.begin(),
               values.begin() + static_cast<std::ptrdiff_t>(img.pixels()),
               img.data().begin());
@@ -490,22 +491,6 @@ expectPolarMatchesOracle(const Image& gx, const Image& gy)
         });
 }
 
-/** Every (y, x) pair of @p values, one image row per y. */
-void
-expectPolarMatchesOnGrid(const std::vector<float>& values)
-{
-    const int n = static_cast<int>(values.size());
-    Image gx(n, n);
-    Image gy(n, n);
-    for (int y = 0; y < n; ++y) {
-        for (int x = 0; x < n; ++x) {
-            gy.at(x, y) = values[static_cast<std::size_t>(y)];
-            gx.at(x, y) = values[static_cast<std::size_t>(x)];
-        }
-    }
-    expectPolarMatchesOracle(gx, gy);
-}
-
 float
 fromBits(std::uint32_t bits)
 {
@@ -526,7 +511,17 @@ TEST(OpsOracle, GradientPolarSpecialOperands)
         values.push_back(v);
         values.push_back(-v);
     }
-    expectPolarMatchesOnGrid(values);
+    // Every (y, x) pair: one image row per y.
+    const int n = static_cast<int>(values.size());
+    Image gx(n, n);
+    Image gy(n, n);
+    for (int y = 0; y < n; ++y) {
+        for (int x = 0; x < n; ++x) {
+            gy.at(x, y) = values[static_cast<std::size_t>(y)];
+            gx.at(x, y) = values[static_cast<std::size_t>(x)];
+        }
+    }
+    expectPolarMatchesOracle(gx, gy);
 }
 
 TEST(OpsOracle, GradientPolarRatioExponents)
