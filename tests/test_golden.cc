@@ -2,8 +2,9 @@
  * each of the 45 profiled workload traces, the float outputs of the
  * vision primitives whose bits a trace cannot see (gradient magnitude
  * and orientation, HoG and SIFT descriptors), the Table-IV campaign
- * dataset, the fitted default tree, its 91 predictions and the two
- * headline LOOCV means. A refactor that claims
+ * dataset, the fitted default tree, its 91 predictions, the two
+ * headline LOOCV means and the answers the serve front end gives to a
+ * fixed list of request lines. A refactor that claims
  * to change no behaviour proves it by leaving every pin green. The
  * suite is registered at MAPP_THREADS=1 and =4 because every figure
  * must be identical at any lane count. A change that moves behaviour
@@ -14,6 +15,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +31,8 @@
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
 #include "predictor/schemes.h"
+#include "serve/server.h"
+#include "serve/service.h"
 #include "vision/hog.h"
 #include "vision/objrec.h"
 #include "vision/ops.h"
@@ -45,6 +52,9 @@ constexpr std::uint64_t kPredictionsHash = 0x023d091a8b2c14f5ull;
 // Bit patterns of the leave-one-benchmark-out mean relative errors.
 constexpr std::uint64_t kLoocvFullBits = 0x403276645261d52full;    // 18.4625 %
 constexpr std::uint64_t kLoocvInsmixBits = 0x4075f5b281112d89ull;  // 351.356 %
+// Hasher digest of the predicted_seconds bits of the serve answers to
+// servedLines(), in id order.
+constexpr std::uint64_t kServeAnswersHash = 0xb884b3044cb16f94ull;
 
 /** Hasher digest of traceToBinary(profileWorkload(benchmark, batch)). */
 struct TracePin
@@ -122,15 +132,28 @@ hex(std::uint64_t v)
     return buf;
 }
 
-/** The campaign dataset, collected once per process. */
+/** The collector behind the campaign; serve resolves members with it. */
+predictor::DataCollector&
+collector()
+{
+    static predictor::DataCollector instance;
+    return instance;
+}
+
+/** The campaign's 91 measured bags, collected once per process. */
+const std::vector<predictor::DataPoint>&
+campaignPoints()
+{
+    static const std::vector<predictor::DataPoint> points =
+        collector().collectAll(predictor::DataCollector::campaign91());
+    return points;
+}
+
+/** The campaign dataset. */
 const ml::Dataset&
 campaign()
 {
-    static const ml::Dataset data = [] {
-        predictor::DataCollector collector;
-        return predictor::toDataset(
-            collector.collectAll(predictor::DataCollector::campaign91()));
-    }();
+    static const ml::Dataset data = predictor::toDataset(campaignPoints());
     return data;
 }
 
@@ -189,6 +212,63 @@ loocvMean(const predictor::PredictorParams& params)
     return predictor::MultiAppPredictor::looBenchmarkCv(campaign(), params,
                                                         names)
         .meanRelativeError();
+}
+
+/** @p v in the %.17g spelling the protocol round-trips exactly. */
+std::string
+exact(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+/** One app as a raw-feature protocol object. */
+std::string
+rawApp(const predictor::AppFeatures& app)
+{
+    std::string json = R"({"cpu_time":)" + exact(app.cpuTime) +
+                       R"(,"gpu_time":)" + exact(app.gpuTime) +
+                       R"(,"mix":[)";
+    for (std::size_t i = 0; i < app.mixPercent.size(); ++i)
+        json += (i == 0 ? "" : ",") + exact(app.mixPercent[i]);
+    return json + "]}";
+}
+
+/** One campaign row as a raw-feature query (no op or id). */
+std::string
+rawQuery(const predictor::DataPoint& p)
+{
+    return R"("a":)" + rawApp(p.a) + R"(,"b":)" + rawApp(p.b) +
+           R"(,"fairness":)" + exact(p.fairness);
+}
+
+/** The pinned request lines: raw predicts of every tenth campaign row,
+ * one 8-query predict_batch, and member-form predicts of cheap
+ * campaign bags (one named in reverse order). */
+std::vector<std::string>
+servedLines()
+{
+    const auto& points = campaignPoints();
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < points.size(); i += 10)
+        lines.push_back(R"({"op":"predict","id":"raw)" +
+                        std::to_string(100 + i) + R"(",)" +
+                        rawQuery(points[i]) + "}");
+    std::string batch = R"({"op":"predict_batch","id":"batch","queries":[)";
+    for (std::size_t i = 0; i < 8; ++i)
+        batch += (i == 0 ? "{" : ",{") + rawQuery(points[5 + 11 * i]) + "}";
+    lines.push_back(batch + "]}");
+    const char* bags[][2] = {
+        {"FAST@20", "HoG@20"},
+        {"ORB@20", "SURF@20"},
+        {"FACEDET@20", "FAST@20"},
+    };
+    for (std::size_t i = 0; i < std::size(bags); ++i)
+        lines.push_back(R"({"op":"predict","id":"member)" +
+                        std::to_string(i) + R"(","a":")" + bags[i][0] +
+                        R"(","b":")" + bags[i][1] + R"("})");
+    return lines;
 }
 
 TEST(Golden, ProfiledTraceDigests)
@@ -286,6 +366,50 @@ TEST(Golden, LoocvInsmixMean)
     EXPECT_EQ(hex(kLoocvInsmixBits),
               hex(std::bit_cast<std::uint64_t>(mean)))
         << "mean " << mean;
+}
+
+TEST(Golden, ServeAnswers)
+{
+    serve::PredictionService service(
+        std::make_shared<predictor::MultiAppPredictor>(model()));
+    serve::Server server(service, collector());
+    const auto lines = servedLines();
+
+    std::mutex mutex;
+    std::map<std::string, std::string> answers;  // id -> response
+    for (const auto& line : lines)
+        server.handleLine(line, [&](std::string response) {
+            const auto from = response.find(R"("id":")") + 6;
+            std::lock_guard<std::mutex> lock(mutex);
+            answers[response.substr(from, response.find('"', from) - from)] =
+                std::move(response);
+        });
+    service.drain();
+    ASSERT_EQ(lines.size(), answers.size());
+
+    // predicted_seconds bits only: queue_us is timing, not behaviour.
+    cache::Hasher h;
+    std::size_t rows = 0;
+    for (const auto& [id, response] : answers) {
+        ASSERT_NE(response.find(R"("ok":true)"), std::string::npos)
+            << response;
+        constexpr std::string_view key = R"("predicted_seconds":)";
+        const char* at =
+            response.c_str() + response.find(key) + key.size();
+        const bool array = *at == '[';
+        if (array)
+            ++at;
+        for (char* end = nullptr;; at = end + 1) {
+            const double v = std::strtod(at, &end);
+            h.add(std::bit_cast<std::uint64_t>(v));
+            ++rows;
+            if (!array || *end != ',')
+                break;
+        }
+        h.add(std::string_view(id));
+    }
+    EXPECT_EQ(lines.size() - 1 + 8, rows);
+    EXPECT_EQ(hex(kServeAnswersHash), hex(h.digest()));
 }
 
 }  // namespace
