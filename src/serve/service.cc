@@ -25,10 +25,9 @@ PredictionService::PredictionService(
     : options_([&options] {
           options.batchRows = std::max<std::size_t>(options.batchRows, 1);
           // queueCapacityRows may be smaller than batchRows: batches
-          // then just max out at the capacity when the linger expires.
+          // then just max out at the capacity.
           options.queueCapacityRows =
               std::max<std::size_t>(options.queueCapacityRows, 1);
-          options.lingerMs = std::max(options.lingerMs, 0.0);
           options.defaultDeadlineMs =
               std::max(options.defaultDeadlineMs, 0.0);
           return options;
@@ -190,11 +189,8 @@ PredictionService::queuedRows() const
 void
 PredictionService::workerLoop()
 {
-    const auto linger = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(options_.lingerMs));
     for (;;) {
         std::vector<Job> batch;
-        std::size_t batchedRows = 0;
         {
             std::unique_lock<std::mutex> lock(queueMutex_);
             queueCv_.wait(lock, [this] {
@@ -203,26 +199,11 @@ PredictionService::workerLoop()
             if (queue_.empty())
                 return;  // draining_ and nothing left to answer
 
-            // Linger window: wait for batch-mates until the oldest job
-            // has waited lingerMs — but never past the earliest
-            // deadline, and not at all once draining.
-            const auto flushAt = queue_.front().enqueued + linger;
-            while (!draining_ && batchedRows + queuedRows_ <
-                                     options_.batchRows) {
-                auto wakeAt = flushAt;
-                for (const auto& job : queue_)
-                    wakeAt = std::min(wakeAt, job.deadline);
-                if (Clock::now() >= wakeAt)
-                    break;
-                if (queueCv_.wait_until(lock, wakeAt) ==
-                    std::cv_status::timeout)
-                    break;
-            }
-
-            // Scoop whole jobs until the batch reaches batchRows. A
+            // Take whole jobs until the batch reaches batchRows. A
             // single job larger than batchRows is taken whole — the
             // engine's lock-step kernel handles any row count and a
             // job is never split across predictBatch calls.
+            std::size_t batchedRows = 0;
             while (!queue_.empty() &&
                    (batch.empty() || batchedRows < options_.batchRows)) {
                 batchedRows += queue_.front().queries.size();
@@ -232,8 +213,7 @@ PredictionService::workerLoop()
             }
             queueRowsGauge_.set(static_cast<double>(queuedRows_));
         }
-        if (!batch.empty())
-            processBatch(std::move(batch));
+        processBatch(std::move(batch));
     }
 }
 

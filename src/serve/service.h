@@ -1,8 +1,8 @@
 /**
  * @file
  * The resident prediction service: a bounded MPMC request queue with
- * admission control in front of a micro-batching worker that feeds the
- * compiled inference engine.
+ * admission control in front of a work-conserving batch worker that
+ * feeds the compiled inference engine.
  *
  * Design:
  *  - Backpressure by rejection, never by growth. submit() admits a job
@@ -11,16 +11,16 @@
  *    so memory stays bounded and clients get an immediate, actionable
  *    signal (retry, shed, or route elsewhere) instead of unbounded
  *    latency.
- *  - Micro-batching. The worker coalesces queued jobs until it holds
- *    at least batchRows rows (the compiled forest's lock-step kernel
- *    runs 32-row blocks) or the oldest job has lingered lingerMs,
- *    then answers the whole batch with ONE
- *    MultiAppPredictor::predictBatch call — bit-identical to per-row
- *    predict() by the engine's construction.
- *  - Deadlines. A job whose deadline passes while it queues is
- *    answered "deadline_expired" at flush time rather than predicted
- *    late; the linger window never exceeds the earliest deadline in
- *    the batch.
+ *  - Work-conserving batching. The worker sleeps only while the queue
+ *    is empty. Once awake it takes everything queued, up to batchRows
+ *    rows, and answers it with ONE MultiAppPredictor::predictBatch
+ *    call — bit-identical to per-row predict() by the engine's
+ *    construction. An idle worker therefore answers a lone request at
+ *    once; batches form only from requests that arrive while it is
+ *    busy, which is the only time batching saves anything.
+ *  - Deadlines. A job whose deadline passes while it waits behind a
+ *    busy worker is answered "deadline_expired" at flush time rather
+ *    than predicted late.
  *  - Hot reload. reload() builds a fresh model via the injected
  *    factory (typically a warm artifact-cache load) OUTSIDE any lock,
  *    then atomically swaps the served shared_ptr; in-flight batches
@@ -55,17 +55,14 @@
 
 namespace mapp::serve {
 
-/** Tuning knobs of the micro-batching service. */
+/** Tuning knobs of the batching service. */
 struct ServiceOptions
 {
     /** Admission bound: queued rows beyond this are rejected. */
     std::size_t queueCapacityRows = 1024;
 
-    /** Flush a batch once it holds at least this many rows. */
+    /** Rows one flush takes at most; a larger job is taken whole. */
     std::size_t batchRows = 32;
-
-    /** Max time the oldest queued job waits for batch-mates (ms). */
-    double lingerMs = 2.0;
 
     /** Deadline applied to requests that carry none (0 = none). */
     double defaultDeadlineMs = 0.0;
@@ -90,7 +87,7 @@ using JobCallback = std::function<void(JobResult)>;
 using ModelFactory =
     std::function<std::shared_ptr<const predictor::MultiAppPredictor>()>;
 
-/** The micro-batching prediction service. */
+/** The batching prediction service. */
 class PredictionService
 {
   public:

@@ -1,8 +1,8 @@
 # Two-process smoke for `mapp_cli serve`: feed a JSONL session over
 # stdin (ping, a member-form predict, a raw predict_batch, stats,
 # shutdown), then assert the service answered every request, exited 0
-# on the shutdown op, and wrote an intact metrics sidecar. Driven by
-# ctest:
+# on the shutdown op, and wrote an intact metrics sidecar; a removed
+# serve flag must exit 2 as an unknown flag. Driven by ctest:
 #   cmake -DMAPP_CLI=<path> -DWORK_DIR=<dir> -P serve_smoke.cmake
 
 foreach(var MAPP_CLI WORK_DIR)
@@ -27,7 +27,7 @@ file(WRITE "${requests}"
 execute_process(
     COMMAND "${MAPP_CLI}"
             "--metrics-out=${metrics}"
-            serve --stdin --linger-ms=1
+            serve --stdin
     INPUT_FILE "${requests}"
     OUTPUT_FILE "${responses}"
     RESULT_VARIABLE rc
@@ -76,3 +76,15 @@ foreach(counter "serve.requests" "serve.predictions" "serve.batches")
                 "${metric_doc}")
     endif()
 endforeach()
+
+# --linger-ms was removed with the linger window; it is an unknown flag.
+execute_process(
+    COMMAND "${MAPP_CLI}" serve --stdin --linger-ms=1
+    INPUT_FILE "${requests}"
+    OUTPUT_QUIET
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+            "serve_smoke: --linger-ms exited ${rc}, not 2:\n${err}")
+endif()

@@ -1,10 +1,11 @@
 /**
  * @file
- * The resident prediction service end to end: micro-batched answers
- * bit-identical to direct predict() calls, bounded-queue admission
- * control, per-request deadlines, atomic hot reload under load, the
- * JSONL protocol codec, and concurrent clients hammering a real
- * Unix-domain socket. Runs under `ctest -L parallel` (TSan) — every
+ * The resident prediction service end to end: batched answers
+ * bit-identical to direct predict() calls, an idle worker that answers
+ * at once, one flush for jobs queued behind a busy worker,
+ * bounded-queue admission control, per-request deadlines, atomic hot
+ * reload under load, the JSONL protocol codec, and concurrent clients
+ * hammering a real Unix-domain socket. Runs under `ctest -L parallel` (TSan) — every
  * path here is exercised from multiple threads by design.
  */
 
@@ -14,12 +15,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
 #include "serve/protocol.h"
@@ -122,17 +126,62 @@ struct ResultSink
     std::atomic<std::size_t> arrived{0};
 };
 
+/**
+ * Holds the batch worker busy so later jobs queue behind it. The
+ * constructor submits one job whose callback blocks until release()
+ * and returns once the worker is inside that callback. Declare it
+ * after the service: its destructor releases the worker, so the
+ * service's drain never waits on it.
+ */
+class BusyWorker
+{
+  public:
+    explicit BusyWorker(PredictionService& service)
+        : gate_(std::make_shared<Gate>())
+    {
+        EXPECT_TRUE(service.submit(randomQueries(7, 1), 0.0,
+                                   [gate = gate_](JobResult) {
+                                       gate->entered.count_down();
+                                       gate->released.wait();
+                                   }));
+        gate_->entered.wait();
+    }
+
+    ~BusyWorker() { release(); }
+
+    void release()
+    {
+        if (!released_) {
+            released_ = true;
+            gate_->released.count_down();
+        }
+    }
+
+  private:
+    // Shared with the callback, which may still be returning from
+    // wait() after this object is gone.
+    struct Gate
+    {
+        std::latch entered{1};
+        std::latch released{1};
+    };
+    std::shared_ptr<Gate> gate_;
+    bool released_ = false;
+};
+
 // ---------------------------------------------------------------------------
 // PredictionService
 
-TEST(PredictionService, MicroBatchedAnswersBitIdenticalToDirectPredict)
+TEST(PredictionService, BatchedAnswersBitIdenticalToDirectPredict)
 {
     const auto model = trainModel(11);
     ServiceOptions options;
     options.batchRows = 8;
-    options.lingerMs = 5.0;
     PredictionService service(model, nullptr, options);
 
+    // Every job queues behind the busy worker, so the 48 rows are
+    // answered in batches of batchRows.
+    BusyWorker busy(service);
     const auto queries = randomQueries(12, 48);
     ResultSink sink(queries.size());
     std::vector<std::thread> clients;
@@ -145,6 +194,7 @@ TEST(PredictionService, MicroBatchedAnswersBitIdenticalToDirectPredict)
         });
     for (auto& t : clients)
         t.join();
+    busy.release();
     service.drain();
     ASSERT_EQ(sink.arrived.load(), queries.size());
 
@@ -165,7 +215,6 @@ TEST(PredictionService, MultiRowJobsKeepSubmitOrderWithinTheJob)
     const auto model = trainModel(21);
     ServiceOptions options;
     options.batchRows = 4;
-    options.lingerMs = 2.0;
     PredictionService service(model, nullptr, options);
 
     const auto queries = randomQueries(22, 10);
@@ -182,15 +231,76 @@ TEST(PredictionService, MultiRowJobsKeepSubmitOrderWithinTheJob)
                                  queries[i].fairness));
 }
 
+TEST(PredictionService, IdleServiceAnswersWithoutWaiting)
+{
+    // Default options: an idle worker must not hold a lone job back
+    // waiting for batch-mates.
+    PredictionService service(trainModel(15));
+    const auto queries = randomQueries(16, 20);
+    std::vector<double> waits;
+    for (const auto& query : queries) {
+        ResultSink sink(1);
+        ASSERT_TRUE(service.submit({query}, 0.0, sink.slot(0)));
+        while (sink.arrived.load() == 0)
+            std::this_thread::yield();
+        ASSERT_TRUE(sink.results[0].ok) << sink.results[0].error;
+        waits.push_back(sink.results[0].queueUs);
+    }
+    std::nth_element(waits.begin(), waits.begin() + 10, waits.end());
+    EXPECT_LT(waits[10], 1000.0) << "median queue wait in us";
+}
+
+TEST(PredictionService, JobsQueuedBehindABusyWorkerFlushTogether)
+{
+    const auto model = trainModel(17);
+    PredictionService service(model);
+    auto& registry = obs::defaultRegistry();
+    auto& batches = registry.counter("serve.batches");
+    auto& batchRows = registry.histogram("serve.batch_rows");
+
+    BusyWorker busy(service);
+    const auto batchesBefore = batches.value();
+    const auto flushesBefore = batchRows.count();
+    const double rowsBefore = batchRows.sum();
+
+    // Jobs of 1, 2, 3 and 4 rows: 10 rows, under the 32-row cap.
+    std::vector<std::vector<predictor::BagQuery>> jobs;
+    for (int rows = 1; rows <= 4; ++rows)
+        jobs.push_back(randomQueries(18 + rows, rows));
+    ResultSink sink(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        ASSERT_TRUE(service.submit(jobs[i], 0.0, sink.slot(i)));
+    EXPECT_EQ(service.queuedRows(), 10u);
+    // Not drain(): it would cut a batch-mate wait short and hide one.
+    busy.release();
+    while (sink.arrived.load() < jobs.size())
+        std::this_thread::yield();
+
+    EXPECT_EQ(batches.value() - batchesBefore, 1u);
+    EXPECT_EQ(batchRows.count() - flushesBefore, 1u);
+    EXPECT_EQ(batchRows.sum() - rowsBefore, 10.0);
+    // The flush followed the release at once: the last job, submitted
+    // just before it, waited no more than the idle bound.
+    EXPECT_LT(sink.results.back().queueUs, 1000.0);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const auto& r = sink.results[i];
+        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_EQ(r.predictedSeconds.size(), jobs[i].size());
+        for (std::size_t k = 0; k < jobs[i].size(); ++k)
+            EXPECT_EQ(r.predictedSeconds[k],
+                      model->predict(jobs[i][k].a, jobs[i][k].b,
+                                     jobs[i][k].fairness));
+    }
+}
+
 TEST(PredictionService, FullQueueRejectsSynchronously)
 {
     const auto model = trainModel(31);
     ServiceOptions options;
     options.queueCapacityRows = 4;
-    options.batchRows = 64;    // hold jobs in the queue...
-    options.lingerMs = 500.0;  // ...for the whole test window
     PredictionService service(model, nullptr, options);
 
+    BusyWorker busy(service);  // holds the four jobs in the queue
     const auto queries = randomQueries(32, 5);
     ResultSink sink(queries.size());
     for (std::size_t i = 0; i < 4; ++i)
@@ -202,57 +312,62 @@ TEST(PredictionService, FullQueueRejectsSynchronously)
     EXPECT_EQ(sink.arrived.load(), 1u);
     EXPECT_EQ(sink.results[4].error, "queue_full");
 
+    busy.release();
     service.drain();
     ASSERT_EQ(sink.arrived.load(), queries.size());
     for (std::size_t i = 0; i < 4; ++i)
         EXPECT_TRUE(sink.results[i].ok) << i;
 }
 
-TEST(PredictionService, ExpiredDeadlineCutsTheLingerShort)
+TEST(PredictionService, DeadlinePassedBehindABusyWorkerExpires)
 {
     const auto model = trainModel(41);
-    ServiceOptions options;
-    options.batchRows = 64;
-    options.lingerMs = 2000.0;  // would stall far past the deadline
-    PredictionService service(model, nullptr, options);
+    PredictionService service(model);
 
-    const auto start = std::chrono::steady_clock::now();
-    ResultSink sink(1);
+    BusyWorker busy(service);
+    ResultSink sink(2);
     ASSERT_TRUE(
         service.submit(randomQueries(42, 1), 5.0, sink.slot(0)));
-    while (sink.arrived.load() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const auto waited = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+    ASSERT_TRUE(
+        service.submit(randomQueries(43, 1), 0.0, sink.slot(1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    busy.release();
+    service.drain();
 
+    // The 5 ms job is refused, never answered late; its batch-mate
+    // without a deadline is still predicted.
+    ASSERT_EQ(sink.arrived.load(), 2u);
     EXPECT_FALSE(sink.results[0].ok);
     EXPECT_EQ(sink.results[0].error, "deadline_expired");
-    // The worker must wake at the deadline, not at the linger bound.
-    EXPECT_LT(waited, 1.0);
-    service.drain();
+    EXPECT_TRUE(sink.results[1].ok) << sink.results[1].error;
 }
 
 TEST(PredictionService, DrainAnswersEverythingThenRefuses)
 {
     const auto model = trainModel(51);
-    ServiceOptions options;
-    options.batchRows = 64;
-    options.lingerMs = 300.0;
-    PredictionService service(model, nullptr, options);
+    PredictionService service(model);
 
+    BusyWorker busy(service);
     const auto queries = randomQueries(52, 6);
     ResultSink sink(queries.size() + 1);
     for (std::size_t i = 0; i < queries.size(); ++i)
         ASSERT_TRUE(service.submit({queries[i]}, 0.0, sink.slot(i)));
-    service.drain();
-    EXPECT_EQ(sink.arrived.load(), queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i)
-        EXPECT_TRUE(sink.results[i].ok) << sink.results[i].error;
 
+    // drain() waits for the worker, so run it aside; once it has begun,
+    // new jobs are refused while the six admitted ones still queue.
+    std::thread drainer([&] { service.drain(); });
+    while (!service.draining())
+        std::this_thread::yield();
     EXPECT_FALSE(service.submit(randomQueries(53, 1), 0.0,
                                 sink.slot(queries.size())));
     EXPECT_EQ(sink.results[queries.size()].error, "shutting_down");
+    EXPECT_EQ(service.queuedRows(), queries.size());
+
+    busy.release();
+    drainer.join();
+    EXPECT_EQ(sink.arrived.load(), queries.size() + 1);
+    for (std::size_t i = 0; i < queries.size(); ++i)
+        EXPECT_TRUE(sink.results[i].ok) << sink.results[i].error;
 }
 
 TEST(PredictionService, HotReloadUnderLoadStaysBitIdentical)
@@ -265,7 +380,6 @@ TEST(PredictionService, HotReloadUnderLoadStaysBitIdentical)
         trainModel(61), [] { return trainModel(61); }, [] {
             ServiceOptions o;
             o.batchRows = 8;
-            o.lingerMs = 1.0;
             return o;
         }());
 
@@ -413,9 +527,7 @@ TEST(Server, DispatchAnswersSyncOpsAndFlagsBadRequests)
 TEST(Server, RawPredictThroughDispatchMatchesDirectPredict)
 {
     const auto model = trainModel(81);
-    ServiceOptions options;
-    options.lingerMs = 1.0;
-    PredictionService service(model, nullptr, options);
+    PredictionService service(model);
     predictor::DataCollector collector;
     serve::Server server(service, collector);
 
@@ -532,7 +644,6 @@ TEST(ServeSocket, ConcurrentClientsThenGracefulShutdown)
     const auto model = trainModel(91);
     ServiceOptions options;
     options.batchRows = 4;
-    options.lingerMs = 2.0;
     PredictionService service(model, nullptr, options);
     predictor::DataCollector collector;
     serve::Server server(service, collector);
