@@ -5,8 +5,9 @@
  * at once, one flush for jobs queued behind a busy worker,
  * bounded-queue admission control, per-request deadlines, atomic hot
  * reload under load, the JSONL protocol codec, and concurrent clients
- * hammering a real Unix-domain socket. Runs under `ctest -L parallel` (TSan) — every
- * path here is exercised from multiple threads by design.
+ * hammering a real Unix-domain socket. Runs under `ctest -L parallel`
+ * (TSan) — every path here is exercised from multiple threads by
+ * design.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +19,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -119,7 +120,16 @@ struct ResultSink
         return [this, i](JobResult r) {
             results[i] = std::move(r);
             arrived.fetch_add(1, std::memory_order_acq_rel);
+            arrived.notify_all();
         };
+    }
+
+    /** Block (not spin: the worker may need this core) until @p n
+     *  results arrived. */
+    void waitFor(std::size_t n)
+    {
+        for (auto seen = arrived.load(); seen < n; seen = arrived.load())
+            arrived.wait(seen);
     }
 
     std::vector<JobResult> results;
@@ -139,34 +149,42 @@ class BusyWorker
     explicit BusyWorker(PredictionService& service)
         : gate_(std::make_shared<Gate>())
     {
-        EXPECT_TRUE(service.submit(randomQueries(7, 1), 0.0,
-                                   [gate = gate_](JobResult) {
-                                       gate->entered.count_down();
-                                       gate->released.wait();
-                                   }));
-        gate_->entered.wait();
+        EXPECT_TRUE(service.submit(
+            randomQueries(7, 1), 0.0, [gate = gate_](JobResult) {
+                std::unique_lock<std::mutex> lock(gate->mutex);
+                gate->entered = true;
+                gate->cv.notify_all();
+                gate->cv.wait(lock, [&] { return gate->released; });
+            }));
+        std::unique_lock<std::mutex> lock(gate_->mutex);
+        gate_->cv.wait(lock, [&] { return gate_->entered; });
     }
 
     ~BusyWorker() { release(); }
 
+    BusyWorker(const BusyWorker&) = delete;
+    BusyWorker& operator=(const BusyWorker&) = delete;
+
     void release()
     {
-        if (!released_) {
-            released_ = true;
-            gate_->released.count_down();
+        {
+            std::lock_guard<std::mutex> lock(gate_->mutex);
+            gate_->released = true;
         }
+        gate_->cv.notify_all();
     }
 
   private:
-    // Shared with the callback, which may still be returning from
-    // wait() after this object is gone.
+    // Shared with the callback, which may still be returning from its
+    // wait after this object is gone.
     struct Gate
     {
-        std::latch entered{1};
-        std::latch released{1};
+        std::mutex mutex;
+        std::condition_variable cv;
+        bool entered = false;
+        bool released = false;
     };
     std::shared_ptr<Gate> gate_;
-    bool released_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -241,8 +259,7 @@ TEST(PredictionService, IdleServiceAnswersWithoutWaiting)
     for (const auto& query : queries) {
         ResultSink sink(1);
         ASSERT_TRUE(service.submit({query}, 0.0, sink.slot(0)));
-        while (sink.arrived.load() == 0)
-            std::this_thread::yield();
+        sink.waitFor(1);
         ASSERT_TRUE(sink.results[0].ok) << sink.results[0].error;
         waits.push_back(sink.results[0].queueUs);
     }
@@ -258,39 +275,47 @@ TEST(PredictionService, JobsQueuedBehindABusyWorkerFlushTogether)
     auto& batches = registry.counter("serve.batches");
     auto& batchRows = registry.histogram("serve.batch_rows");
 
-    BusyWorker busy(service);
-    const auto batchesBefore = batches.value();
-    const auto flushesBefore = batchRows.count();
-    const double rowsBefore = batchRows.sum();
-
     // Jobs of 1, 2, 3 and 4 rows: 10 rows, under the 32-row cap.
     std::vector<std::vector<predictor::BagQuery>> jobs;
     for (int rows = 1; rows <= 4; ++rows)
         jobs.push_back(randomQueries(18 + rows, rows));
-    ResultSink sink(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        ASSERT_TRUE(service.submit(jobs[i], 0.0, sink.slot(i)));
-    EXPECT_EQ(service.queuedRows(), 10u);
-    // Not drain(): it would cut a batch-mate wait short and hide one.
-    busy.release();
-    while (sink.arrived.load() < jobs.size())
-        std::this_thread::yield();
 
-    EXPECT_EQ(batches.value() - batchesBefore, 1u);
-    EXPECT_EQ(batchRows.count() - flushesBefore, 1u);
-    EXPECT_EQ(batchRows.sum() - rowsBefore, 10.0);
-    // The flush followed the release at once: the last job, submitted
-    // just before it, waited no more than the idle bound.
-    EXPECT_LT(sink.results.back().queueUs, 1000.0);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const auto& r = sink.results[i];
-        ASSERT_TRUE(r.ok) << r.error;
-        ASSERT_EQ(r.predictedSeconds.size(), jobs[i].size());
-        for (std::size_t k = 0; k < jobs[i].size(); ++k)
-            EXPECT_EQ(r.predictedSeconds[k],
-                      model->predict(jobs[i][k].a, jobs[i][k].b,
-                                     jobs[i][k].fairness));
+    // The last job is submitted just before the release, so its wait is
+    // the flush delay once the worker frees up. Its median over rounds
+    // is checked, so one preempted wakeup on a loaded host cannot fail
+    // the test.
+    std::vector<double> lastWaits;
+    for (int round = 0; round < 9; ++round) {
+        BusyWorker busy(service);
+        const auto batchesBefore = batches.value();
+        const auto flushesBefore = batchRows.count();
+        const double rowsBefore = batchRows.sum();
+
+        ResultSink sink(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            ASSERT_TRUE(service.submit(jobs[i], 0.0, sink.slot(i)));
+        EXPECT_EQ(service.queuedRows(), 10u);
+        // Not drain(): it would cut a batch-mate wait short and hide it.
+        busy.release();
+        sink.waitFor(jobs.size());
+
+        EXPECT_EQ(batches.value() - batchesBefore, 1u);
+        EXPECT_EQ(batchRows.count() - flushesBefore, 1u);
+        EXPECT_EQ(batchRows.sum() - rowsBefore, 10.0);
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const auto& r = sink.results[i];
+            ASSERT_TRUE(r.ok) << r.error;
+            ASSERT_EQ(r.predictedSeconds.size(), jobs[i].size());
+            for (std::size_t k = 0; k < jobs[i].size(); ++k)
+                EXPECT_EQ(r.predictedSeconds[k],
+                          model->predict(jobs[i][k].a, jobs[i][k].b,
+                                         jobs[i][k].fairness));
+        }
+        lastWaits.push_back(sink.results.back().queueUs);
     }
+    std::nth_element(lastWaits.begin(), lastWaits.begin() + 4,
+                     lastWaits.end());
+    EXPECT_LT(lastWaits[4], 1000.0) << "median flush delay in us";
 }
 
 TEST(PredictionService, FullQueueRejectsSynchronously)
