@@ -26,7 +26,7 @@
  *                             it the service speaks stdin/stdout
  *   --stdin                   explicit stdin/stdout transport
  *   --queue-rows=<n>          admission bound in queued rows (1024)
- *   --batch-rows=<n>          most rows one batch flush takes (32)
+ *   --batch-rows=<n>          rows at which a batch stops growing (32)
  *   --default-deadline-ms=<ms> deadline for requests without one (off)
  *
  * Cache flags (valid before or after the command):

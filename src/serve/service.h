@@ -12,12 +12,13 @@
  *    signal (retry, shed, or route elsewhere) instead of unbounded
  *    latency.
  *  - Work-conserving batching. The worker sleeps only while the queue
- *    is empty. Once awake it takes everything queued, up to batchRows
- *    rows, and answers it with ONE MultiAppPredictor::predictBatch
- *    call — bit-identical to per-row predict() by the engine's
- *    construction. An idle worker therefore answers a lone request at
- *    once; batches form only from requests that arrive while it is
- *    busy, which is the only time batching saves anything.
+ *    is empty. Once awake it takes queued jobs until it holds
+ *    batchRows rows or the queue is empty, and answers them with ONE
+ *    MultiAppPredictor::predictBatch call — bit-identical to per-row
+ *    predict() by the engine's construction. An idle worker therefore
+ *    answers a lone request at once; batches form only from requests
+ *    that arrive while it is busy, which is the only time batching
+ *    saves anything.
  *  - Deadlines. A job whose deadline passes while it waits behind a
  *    busy worker is answered "deadline_expired" at flush time rather
  *    than predicted late.
@@ -61,7 +62,8 @@ struct ServiceOptions
     /** Admission bound: queued rows beyond this are rejected. */
     std::size_t queueCapacityRows = 1024;
 
-    /** Rows one flush takes at most; a larger job is taken whole. */
+    /** A flush stops taking jobs once it holds this many rows (jobs
+     *  are never split, so the last one taken may overshoot). */
     std::size_t batchRows = 32;
 
     /** Deadline applied to requests that carry none (0 = none). */
