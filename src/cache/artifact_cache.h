@@ -125,13 +125,23 @@ class ArtifactCache
     }
 
     /**
-     * Raw entry read; fills @p path with the entry location. Counts a
-     * miss when enabled and absent. No hit accounting (loadAndParse
-     * counts a hit only after a successful parse).
+     * The one load-or-compute path of every disk-backed layer: the
+     * artifact parsed from (kind, key) on a clean hit (see
+     * loadAndParse), else `compute()`, which is then stored as
+     * `serialize(value)` while the cache is enabled.
      */
-    std::optional<std::string> readEntry(std::string_view kind,
-                                         std::uint64_t key,
-                                         std::string& path) const;
+    template <typename Parser, typename Compute, typename Serializer>
+    auto loadOrCompute(std::string_view kind, std::uint64_t key,
+                       Parser&& parse, Compute&& compute,
+                       Serializer&& serialize) -> decltype(compute())
+    {
+        if (auto loaded = loadAndParse(kind, key, parse))
+            return std::move(*loaded);
+        auto value = compute();
+        if (enabled())
+            store(kind, key, serialize(value));
+        return value;
+    }
 
     /** Remove one entry, counting cache.evictions. */
     void evict(std::string_view kind, std::uint64_t key,
@@ -144,6 +154,15 @@ class ArtifactCache
     std::size_t clear();
 
   private:
+    /**
+     * Raw entry read; fills @p path with the entry location. Counts a
+     * miss when enabled and absent. No hit accounting (loadAndParse
+     * counts a hit only after a successful parse).
+     */
+    std::optional<std::string> readEntry(std::string_view kind,
+                                         std::uint64_t key,
+                                         std::string& path) const;
+
     void countHit(std::size_t bytes) const;
 
     /**
@@ -163,7 +182,7 @@ class ArtifactCache
 };
 
 /**
- * The process-wide cache used by the built-in memoization points
+ * The process-wide cache behind every loadOrCompute() site
  * (vision::cachedTrace, DataCollector, MultiAppPredictor::train). Its
  * root is resolved from the environment on first use; resolving to no
  * usable directory leaves it disabled.

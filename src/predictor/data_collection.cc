@@ -218,14 +218,6 @@ readAppFeatures(cache::BinaryReader& r, const std::string& source)
     return f;
 }
 
-/** One member's complete measurement record ("member" artifacts). */
-struct MemberRecord
-{
-    AppFeatures features;
-    int threads = 1;
-    double ipcAlone = 0.0;
-};
-
 std::string
 memberToBinary(const MemberRecord& rec)
 {
@@ -309,56 +301,39 @@ DataCollector::DataCollector(cpusim::CpuConfig cpu_config,
 {
 }
 
-void
-DataCollector::ensureMember(const BagMember& member)
+const MemberRecord&
+DataCollector::memberRecord(const BagMember& member)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        if (featureCache_.count(member) != 0 &&
-            threadCache_.count(member) != 0 &&
-            ipcCache_.count(member) != 0)
-            return;
-    }
-
-    auto& artifacts = cache::defaultArtifactCache();
-    const std::uint64_t key = memberKey(member, cpu_.config(),
-                                        gpu_.config(),
-                                        params_.forcedThreads);
-    auto loaded = artifacts.loadAndParse(
-        "member", key,
-        [](const std::string& blob, const std::string& path) {
-            return memberFromBinary(blob, path);
-        });
-
-    MemberRecord rec;
-    if (loaded) {
-        rec = std::move(*loaded);
-    } else {
-        const obs::ScopedPhase phase(
-            "feature-extraction",
-            {obs::TraceArg::str("member", member.label())});
-        const auto& trace =
-            vision::cachedTrace(member.id, member.batchSize);
-        rec.threads = params_.forcedThreads > 0
-                          ? params_.forcedThreads
-                          : cpu_.bestThreadCount(trace);
-        // One alone run yields both the CPU-time feature and the
-        // alone IPC the fairness metric divides by.
-        const auto alone = cpu_.runAlone(trace, rec.threads);
-        const auto mica = profiler::characterize(trace);
-        rec.features.app = vision::benchmarkName(member.id);
-        rec.features.batchSize = member.batchSize;
-        rec.features.cpuTime = alone.time;
-        rec.features.gpuTime = gpu_.runAlone(trace).time;
-        rec.features.mixPercent = mica.mixPercent;
-        rec.ipcAlone = alone.ipc;
-        artifacts.store("member", key, memberToBinary(rec));
-    }
-
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    featureCache_.emplace(member, std::move(rec.features));
-    threadCache_.emplace(member, rec.threads);
-    ipcCache_.emplace(member, rec.ipcAlone);
+    return members_.get(member, [&] {
+        return cache::defaultArtifactCache().loadOrCompute(
+            "member",
+            memberKey(member, cpu_.config(), gpu_.config(),
+                      params_.forcedThreads),
+            memberFromBinary,
+            [&] {
+                const obs::ScopedPhase phase(
+                    "feature-extraction",
+                    {obs::TraceArg::str("member", member.label())});
+                const auto& trace =
+                    vision::cachedTrace(member.id, member.batchSize);
+                MemberRecord rec;
+                rec.threads = params_.forcedThreads > 0
+                                  ? params_.forcedThreads
+                                  : cpu_.bestThreadCount(trace);
+                // One alone run yields both the CPU-time feature and
+                // the alone IPC the fairness metric divides by.
+                const auto alone = cpu_.runAlone(trace, rec.threads);
+                const auto mica = profiler::characterize(trace);
+                rec.features.app = vision::benchmarkName(member.id);
+                rec.features.batchSize = member.batchSize;
+                rec.features.cpuTime = alone.time;
+                rec.features.gpuTime = gpu_.runAlone(trace).time;
+                rec.features.mixPercent = mica.mixPercent;
+                rec.ipcAlone = alone.ipc;
+                return rec;
+            },
+            memberToBinary);
+    });
 }
 
 int
@@ -366,185 +341,118 @@ DataCollector::bestThreads(const BagMember& member)
 {
     if (params_.forcedThreads > 0)
         return params_.forcedThreads;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        auto it = threadCache_.find(member);
-        if (it != threadCache_.end())
-            return it->second;
-    }
-    ensureMember(member);
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return threadCache_.at(member);
+    return memberRecord(member).threads;
 }
 
 double
 DataCollector::ipcAlone(const BagMember& member)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        auto it = ipcCache_.find(member);
-        if (it != ipcCache_.end())
-            return it->second;
-    }
-    ensureMember(member);
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return ipcCache_.at(member);
+    return memberRecord(member).ipcAlone;
 }
 
 const AppFeatures&
 DataCollector::appFeatures(const BagMember& member)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        auto it = featureCache_.find(member);
-        if (it != featureCache_.end()) {
-            obs::defaultRegistry()
-                .counter("collector.feature_cache_hits")
-                .add(1);
-            return it->second;
-        }
-    }
-    obs::defaultRegistry().counter("collector.feature_cache_misses").add(1);
-    ensureMember(member);
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return featureCache_.at(member);
+    return memberRecord(member).features;
 }
 
 const DataCollector::SharedCpuRun&
 DataCollector::sharedCpuRun(const BagSpec& spec)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        auto it = sharedCpuCache_.find(spec);
-        if (it != sharedCpuCache_.end()) {
-            obs::defaultRegistry()
-                .counter("collector.shared_cache_hits")
-                .add(1);
-            return it->second;
-        }
-    }
-    obs::defaultRegistry().counter("collector.shared_cache_misses").add(1);
-
-    auto& artifacts = cache::defaultArtifactCache();
-    const std::uint64_t key =
-        cpuRunKey(spec, cpu_.config(), params_.forcedThreads);
-    auto loaded = artifacts.loadAndParse(
-        "cpurun", key,
-        [](const std::string& blob, const std::string& path) {
-            cache::BinaryReader r(blob, path, kCpuRunMagic,
-                                  kRecordVersion);
-            SharedCpuRun run;
-            const std::uint64_t apps = r.u64();
-            if (apps != 2)
-                raise({ErrorCode::Schema,
-                       "shared-CPU record must hold two apps",
-                       {path, 0, ""}});
-            for (std::uint64_t i = 0; i < apps; ++i)
-                run.ipcShared.push_back(r.f64());
-            run.makespan = r.f64();
-            r.expectEnd();
-            return run;
-        });
-
-    SharedCpuRun run;
-    if (loaded) {
-        run = std::move(*loaded);
-    } else {
-        // Fairness input: the bag's CPU co-run IPCs (Equation 2).
-        const obs::ScopedPhase phase("fairness-measurement");
-        const auto& traceA =
-            vision::cachedTrace(spec.a.id, spec.a.batchSize);
-        const auto& traceB =
-            vision::cachedTrace(spec.b.id, spec.b.batchSize);
-        const auto cpuBag = cpu_.runShared(
-            {&traceA, &traceB},
-            {bestThreads(spec.a), bestThreads(spec.b)});
-        run.ipcShared = {cpuBag.apps[0].ipc, cpuBag.apps[1].ipc};
-        run.makespan = cpuBag.makespan;
-        cache::BinaryWriter w(kCpuRunMagic, kRecordVersion);
-        w.u64(run.ipcShared.size());
-        for (double ipc : run.ipcShared)
-            w.f64(ipc);
-        w.f64(run.makespan);
-        artifacts.store("cpurun", key, std::move(w).finish());
-    }
-
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return sharedCpuCache_.emplace(spec, std::move(run)).first->second;
+    return sharedCpuRuns_.get(spec, [&] {
+        return cache::defaultArtifactCache().loadOrCompute(
+            "cpurun", cpuRunKey(spec, cpu_.config(), params_.forcedThreads),
+            [](const std::string& blob, const std::string& path) {
+                cache::BinaryReader r(blob, path, kCpuRunMagic,
+                                      kRecordVersion);
+                SharedCpuRun run;
+                const std::uint64_t apps = r.u64();
+                if (apps != 2)
+                    raise({ErrorCode::Schema,
+                           "shared-CPU record must hold two apps",
+                           {path, 0, ""}});
+                for (std::uint64_t i = 0; i < apps; ++i)
+                    run.ipcShared.push_back(r.f64());
+                run.makespan = r.f64();
+                r.expectEnd();
+                return run;
+            },
+            [&] {
+                // Fairness input: the bag's CPU co-run IPCs (Equation 2).
+                const obs::ScopedPhase phase("fairness-measurement");
+                const auto& traceA =
+                    vision::cachedTrace(spec.a.id, spec.a.batchSize);
+                const auto& traceB =
+                    vision::cachedTrace(spec.b.id, spec.b.batchSize);
+                const auto cpuBag = cpu_.runShared(
+                    {&traceA, &traceB},
+                    {bestThreads(spec.a), bestThreads(spec.b)});
+                return SharedCpuRun{
+                    {cpuBag.apps[0].ipc, cpuBag.apps[1].ipc},
+                    cpuBag.makespan};
+            },
+            [](const SharedCpuRun& run) {
+                cache::BinaryWriter w(kCpuRunMagic, kRecordVersion);
+                w.u64(run.ipcShared.size());
+                for (double ipc : run.ipcShared)
+                    w.f64(ipc);
+                w.f64(run.makespan);
+                return std::move(w).finish();
+            });
+    });
 }
 
 Seconds
 DataCollector::gpuBagMakespan(const BagSpec& spec)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        auto it = gpuCache_.find(spec);
-        if (it != gpuCache_.end()) {
-            obs::defaultRegistry()
-                .counter("collector.gpu_cache_hits")
-                .add(1);
-            return it->second;
-        }
-    }
-    obs::defaultRegistry().counter("collector.gpu_cache_misses").add(1);
-
-    auto& artifacts = cache::defaultArtifactCache();
-    const std::uint64_t key = gpuRunKey(spec, gpu_.config());
-    auto loaded = artifacts.loadAndParse(
-        "gpurun", key,
-        [](const std::string& blob, const std::string& path) {
-            cache::BinaryReader r(blob, path, kGpuRunMagic,
-                                  kRecordVersion);
-            const double makespan = r.f64();
-            r.expectEnd();
-            return makespan;
-        });
-
-    Seconds makespan = 0.0;
-    if (loaded) {
-        makespan = *loaded;
-    } else {
-        // The target: the bag's GPU execution time under MPS.
-        const obs::ScopedPhase phase("gpu-bag-measurement");
-        const auto& traceA =
-            vision::cachedTrace(spec.a.id, spec.a.batchSize);
-        const auto& traceB =
-            vision::cachedTrace(spec.b.id, spec.b.batchSize);
-        makespan = gpu_.runShared({&traceA, &traceB}).makespan;
-        cache::BinaryWriter w(kGpuRunMagic, kRecordVersion);
-        w.f64(makespan);
-        artifacts.store("gpurun", key, std::move(w).finish());
-    }
-
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    gpuCache_.emplace(spec, makespan);
-    return makespan;
+    return gpuRuns_.get(spec, [&] {
+        return cache::defaultArtifactCache().loadOrCompute(
+            "gpurun", gpuRunKey(spec, gpu_.config()),
+            [](const std::string& blob, const std::string& path) {
+                cache::BinaryReader r(blob, path, kGpuRunMagic,
+                                      kRecordVersion);
+                const Seconds makespan = r.f64();
+                r.expectEnd();
+                return makespan;
+            },
+            [&] {
+                // The target: the bag's GPU execution time under MPS.
+                const obs::ScopedPhase phase("gpu-bag-measurement");
+                const auto& traceA =
+                    vision::cachedTrace(spec.a.id, spec.a.batchSize);
+                const auto& traceB =
+                    vision::cachedTrace(spec.b.id, spec.b.batchSize);
+                return gpu_.runShared({&traceA, &traceB}).makespan;
+            },
+            [](Seconds makespan) {
+                cache::BinaryWriter w(kGpuRunMagic, kRecordVersion);
+                w.f64(makespan);
+                return std::move(w).finish();
+            });
+    });
 }
 
 void
 DataCollector::simulateBags(std::span<const BagSpec> specs,
                             BagSimRequest want)
 {
-    // Distinct canonical bags whose co-runs the in-process caches are
-    // still missing; everything else is a lookup away already.
+    // Distinct canonical bags whose co-runs the memos are still
+    // missing; everything else is a lookup away already.
     std::set<BagSpec> cpuTodo;
     std::set<BagSpec> gpuTodo;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        for (const auto& raw : specs) {
-            const BagSpec spec = raw.canonical();
-            if (want.cpu && sharedCpuCache_.count(spec) == 0)
-                cpuTodo.insert(spec);
-            if (want.gpu && gpuCache_.count(spec) == 0)
-                gpuTodo.insert(spec);
-        }
+    for (const auto& raw : specs) {
+        const BagSpec spec = raw.canonical();
+        if (want.cpu && !sharedCpuRuns_.contains(spec))
+            cpuTodo.insert(spec);
+        if (want.gpu && !gpuRuns_.contains(spec))
+            gpuTodo.insert(spec);
     }
     if (cpuTodo.empty() && gpuTodo.empty())
         return;
 
     // CPU co-runs read each member's best-alone thread count; warm the
-    // per-member caches first, one task per *distinct* member, so no
-    // two bag workers redo the same alone-run ladder.
+    // member records first, one task per *distinct* member, so no two
+    // bag workers wait on the same alone-run ladder.
     if (!cpuTodo.empty()) {
         std::set<BagMember> memberSet;
         for (const auto& spec : cpuTodo) {
@@ -554,7 +462,7 @@ DataCollector::simulateBags(std::span<const BagSpec> specs,
         const std::vector<BagMember> members(memberSet.begin(),
                                              memberSet.end());
         parallel::parallelFor(members.size(), [&](std::size_t i) {
-            ensureMember(members[i]);
+            memberRecord(members[i]);
         });
     }
 
@@ -632,34 +540,27 @@ DataCollector::collectAll(const std::vector<BagSpec>& specs)
     // Whole-campaign artifact: a warm second process loads every
     // DataPoint from one binary record and runs zero simulation (and
     // zero profiling — traces are only fetched on the compute path).
-    auto& artifacts = cache::defaultArtifactCache();
-    const std::uint64_t key =
-        campaignKey(specs, cpu_.config(), gpu_.config(), params_);
-    auto loaded = artifacts.loadAndParse(
-        "campaign", key,
-        [](const std::string& blob, const std::string& path) {
-            return campaignFromBinary(blob, path);
-        });
-    if (loaded)
-        return std::move(*loaded);
-
-    obs::defaultRegistry()
-        .gauge("collector.parallel_threads")
-        .set(static_cast<double>(parallel::maxThreads()));
-
-    // One batch: simulateBags() warms the per-member caches (one task
-    // per distinct member, so no two workers redo the same
-    // single-instance simulations) and then fans every uncached bag
-    // co-run — CPU fairness runs and GPU targets alike — across the
-    // pool. Assembly below is then pure cache hits, so a serial loop
-    // keeps the output order trivially identical to the serial path.
-    simulateBags(specs);
-    std::vector<DataPoint> out;
-    out.reserve(specs.size());
-    for (const auto& spec : specs)
-        out.push_back(collect(spec));
-    artifacts.store("campaign", key, campaignToBinary(out));
-    return out;
+    return cache::defaultArtifactCache().loadOrCompute(
+        "campaign", campaignKey(specs, cpu_.config(), gpu_.config(), params_),
+        campaignFromBinary,
+        [&] {
+            obs::defaultRegistry()
+                .gauge("collector.parallel_threads")
+                .set(static_cast<double>(parallel::maxThreads()));
+            // One batch: simulateBags() warms the member records (one
+            // task per distinct member) and then fans every uncached
+            // bag co-run — CPU fairness runs and GPU targets alike —
+            // across the pool. Assembly below is then pure memo hits,
+            // so a serial loop keeps the output order trivially
+            // identical to the serial path.
+            simulateBags(specs);
+            std::vector<DataPoint> out;
+            out.reserve(specs.size());
+            for (const auto& spec : specs)
+                out.push_back(collect(spec));
+            return out;
+        },
+        campaignToBinary);
 }
 
 std::vector<BagSpec>

@@ -11,12 +11,11 @@
 #ifndef MAPP_PREDICTOR_DATA_COLLECTION_H
 #define MAPP_PREDICTOR_DATA_COLLECTION_H
 
-#include <map>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cache/memo.h"
 #include "cpusim/multicore_sim.h"
 #include "gpusim/mps_sim.h"
 #include "ml/dataset.h"
@@ -94,30 +93,35 @@ struct CollectorParams
     int forcedThreads = 0;
 };
 
+/** One member's single-instance measurements ("member" artifacts). */
+struct MemberRecord
+{
+    AppFeatures features;
+    int threads = 1;        ///< best-alone (or forced) thread count
+    double ipcAlone = 0.0;  ///< alone-run CPU IPC at `threads`
+};
+
 /**
  * Runs the measurement pipeline over bags, caching per-app results.
  *
- * Thread-safety: the per-app caches (features, best thread count,
- * alone IPC) and the shared-CPU co-run cache are mutex-guarded, so
- * collect()/appFeatures()/bestThreads()/ipcAlone()/measureFairness()
- * may be called concurrently from pool workers. Cached values are
- * deterministic functions of the member (or canonical bag), so a rare
- * duplicate computation under a race is wasted work, never a wrong
- * answer — the first inserted value wins and references stay stable
- * (std::map nodes never move). collectAll() exploits this: it
- * pre-warms the per-app caches in parallel (one worker per distinct
- * member, no duplicated simulation in the common case), then measures
- * bags in parallel, writing each DataPoint into its spec's slot so the
- * output order is identical to the serial loop.
+ * Memoization: one cache::Memo per layer — member records, shared-CPU
+ * co-runs and GPU bag runs — each single-flight per key, so every
+ * public method may be called concurrently from pool workers, a member
+ * or bag is simulated at most once per collector, and the returned
+ * references stay valid for the collector's lifetime. collectAll()
+ * builds on this: simulateBags() warms the members (one task per
+ * distinct member) and then the bag co-runs in parallel, after which
+ * assembly in spec order is pure memo hits, so the output is identical
+ * to the serial loop.
  *
- * Persistence: every measurement layer is additionally backed by the
- * process-wide artifact cache (cache::defaultArtifactCache()) —
- * per-member records ("member"), shared-CPU co-runs ("cpurun"), GPU bag
- * runs ("gpurun") and whole campaigns ("campaign") — keyed on the
- * workload identity plus every simulator config knob, so a warm second
- * process reloads binary records instead of simulating (and a config
- * change forces a clean recompute). Corrupt entries fall back to
- * simulation transparently.
+ * Persistence: every layer is additionally backed by the process-wide
+ * artifact cache (cache::defaultArtifactCache()) — per-member records
+ * ("member"), shared-CPU co-runs ("cpurun"), GPU bag runs ("gpurun")
+ * and whole campaigns ("campaign") — keyed on the workload identity
+ * plus every simulator config knob, so a warm second process reloads
+ * binary records instead of simulating (and a config change forces a
+ * clean recompute). Corrupt entries fall back to simulation
+ * transparently.
  */
 class DataCollector
 {
@@ -205,16 +209,15 @@ class DataCollector
     };
 
     /**
-     * Ensure every per-member cache (features, best threads, alone
-     * IPC) holds @p member, loading the combined record from the
-     * artifact cache or simulating (and storing) on a miss.
+     * The member's record, memoized and disk-backed: loaded from the
+     * artifact cache or simulated (and stored) on a miss.
      */
-    void ensureMember(const BagMember& member);
+    const MemberRecord& memberRecord(const BagMember& member);
 
     /**
      * The bag's shared-CPU co-run, memoized per canonical spec (both
-     * collect() and measureFairness() need it; satellite dedupe) and
-     * disk-backed. @p spec must already be canonical.
+     * collect() and measureFairness() need it) and disk-backed.
+     * @p spec must already be canonical.
      */
     const SharedCpuRun& sharedCpuRun(const BagSpec& spec);
 
@@ -228,17 +231,11 @@ class DataCollector
     gpusim::MpsSim gpu_;
     CollectorParams params_;
 
-    /**
-     * Guards the caches below. Simulations run *outside* the lock
-     * (they are const and touch no collector state); only the
-     * lookup/insert critical sections hold it.
-     */
-    mutable std::mutex cacheMutex_;
-    std::map<BagMember, AppFeatures> featureCache_;
-    std::map<BagMember, int> threadCache_;
-    std::map<BagMember, double> ipcCache_;
-    std::map<BagSpec, SharedCpuRun> sharedCpuCache_;
-    std::map<BagSpec, Seconds> gpuCache_;
+    cache::Memo<BagMember, MemberRecord> members_{
+        "collector.feature_cache"};
+    cache::Memo<BagSpec, SharedCpuRun> sharedCpuRuns_{
+        "collector.shared_cache"};
+    cache::Memo<BagSpec, Seconds> gpuRuns_{"collector.gpu_cache"};
 };
 
 /**

@@ -96,20 +96,15 @@ MultiAppPredictor::train(const ml::Dataset& raw)
     // audit tables are cheap deterministic functions of `prepared`, so
     // they are rebuilt either way and match the fitted-from-scratch
     // state exactly.
-    auto& artifacts = cache::defaultArtifactCache();
-    const std::uint64_t key = modelKey(raw, params_.tree, schemeNames_);
-    auto loaded = artifacts.loadAndParse(
-        "model", key,
-        [](const std::string& blob, const std::string& path) {
-            return ml::treeFromBinary(blob, path);
-        });
-    if (loaded) {
-        tree_ = std::move(*loaded);
-    } else {
-        tree_.emplace(params_.tree);
-        tree_->fit(prepared);
-        artifacts.store("model", key, ml::treeToBinary(*tree_));
-    }
+    tree_ = cache::defaultArtifactCache().loadOrCompute(
+        "model", modelKey(raw, params_.tree, schemeNames_),
+        ml::treeFromBinary,
+        [&] {
+            ml::DecisionTreeRegressor tree(params_.tree);
+            tree.fit(prepared);
+            return tree;
+        },
+        ml::treeToBinary);
     compiled_ = ml::CompiledTree(*tree_);
     buildAuditTables(prepared);
 }

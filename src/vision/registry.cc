@@ -1,14 +1,10 @@
 #include "vision/registry.h"
 
-#include <map>
-#include <memory>
-#include <mutex>
-
 #include "cache/artifact_cache.h"
+#include "cache/memo.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "isa/trace_binary.h"
-#include "obs/metrics.h"
 #include "profiler/op_profiler.h"
 #include "vision/facedet.h"
 #include "vision/fast.h"
@@ -185,13 +181,6 @@ profileWorkload(BenchmarkId id, int batch_size, std::uint64_t seed)
 
 namespace {
 
-/** One memoized trace slot: profiled exactly once, even under races. */
-struct TraceCacheEntry
-{
-    std::once_flag once;
-    isa::WorkloadTrace trace;
-};
-
 /**
  * Artifact-cache key for one profiled trace: identity (benchmark,
  * batch) plus every knob the profile depends on — the synthetic image
@@ -215,60 +204,14 @@ traceCacheKey(BenchmarkId id, int batch_size)
 const isa::WorkloadTrace&
 cachedTrace(BenchmarkId id, int batch_size)
 {
-    // The map mutex only guards slot lookup/creation; the expensive
-    // profiling run happens outside it under a per-key once_flag, so
-    // worker threads profiling *different* (benchmark, batch) keys
-    // proceed concurrently while racers on the *same* key block until
-    // the first finishes. Entries are shared_ptr so references survive
-    // map rebalancing.
-    static std::mutex mutex;
-    static std::map<std::pair<int, int>,
-                    std::shared_ptr<TraceCacheEntry>>
-        cache;
-
-    const std::pair<int, int> key{static_cast<int>(id), batch_size};
-    std::shared_ptr<TraceCacheEntry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(key);
-        if (it == cache.end()) {
-            it = cache
-                     .emplace(key,
-                              std::make_shared<TraceCacheEntry>())
-                     .first;
-        }
-        entry = it->second;
-    }
-    // In-memory hit/miss accounting: the call that runs the once-body
-    // is the miss; everyone else (including racers that waited on the
-    // flag) found a profiled slot.
-    bool missed = false;
-    std::call_once(entry->once, [&] {
-        missed = true;
-        // Cross-process layer: a previously profiled trace loads from
-        // the artifact cache in microseconds; a corrupt or
-        // version-mismatched entry is evicted inside loadAndParse and
-        // we re-profile and rewrite it.
-        auto& artifacts = mapp::cache::defaultArtifactCache();
-        const std::uint64_t diskKey = traceCacheKey(id, batch_size);
-        auto loaded = artifacts.loadAndParse(
-            "trace", diskKey,
-            [](const std::string& blob, const std::string& path) {
-                return isa::traceFromBinary(blob, path);
-            });
-        if (loaded) {
-            entry->trace = std::move(*loaded);
-        } else {
-            entry->trace = profileWorkload(id, batch_size);
-            artifacts.store("trace", diskKey,
-                            isa::traceToBinary(entry->trace));
-        }
+    static cache::Memo<std::pair<BenchmarkId, int>, isa::WorkloadTrace>
+        traces("registry.trace_cache");
+    return traces.get({id, batch_size}, [&] {
+        return cache::defaultArtifactCache().loadOrCompute(
+            "trace", traceCacheKey(id, batch_size), isa::traceFromBinary,
+            [&] { return profileWorkload(id, batch_size); },
+            isa::traceToBinary);
     });
-    obs::defaultRegistry()
-        .counter(missed ? "registry.trace_cache_misses"
-                        : "registry.trace_cache_hits")
-        .add(1);
-    return entry->trace;
 }
 
 }  // namespace mapp::vision

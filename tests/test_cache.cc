@@ -4,19 +4,25 @@
  * frame validation (magic/version/checksum/truncation), bit-identical
  * round-trips for traces, datasets and models, corrupt-entry fallback
  * (evict + recompute, never a crash or a stale hit), key invalidation
- * on config/salt changes, cross-collector warm loads, and concurrent
- * multi-thread access with corruption injected (run under TSan via
- * `ctest -L parallel` and ASan via `ctest -L robustness`).
+ * on config/salt changes, cross-collector warm loads, the single-flight
+ * in-process memo (one compute per key under racing callers, nothing
+ * memoized on a throw), and concurrent multi-thread access with
+ * corruption injected (run under TSan via `ctest -L parallel` and ASan
+ * via `ctest -L robustness`).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +30,7 @@
 #include "cache/artifact_cache.h"
 #include "cache/binary_io.h"
 #include "cache/hash.h"
+#include "cache/memo.h"
 #include "common/error.h"
 #include "isa/trace_binary.h"
 #include "ml/dataset_binary.h"
@@ -74,6 +81,24 @@ class ScopedDefaultCache
 
   private:
     std::string dir_;
+};
+
+/**
+ * Disable the process-wide artifact cache for one test, so every
+ * collector lookup below the memo is a real computation.
+ */
+class ScopedNoCache
+{
+  public:
+    ScopedNoCache() : was_(cache::defaultArtifactCache().enabled())
+    {
+        cache::defaultArtifactCache().setEnabled(false);
+    }
+
+    ~ScopedNoCache() { cache::defaultArtifactCache().setEnabled(was_); }
+
+  private:
+    bool was_;
 };
 
 std::uint64_t
@@ -626,6 +651,150 @@ TEST(CacheIntegration, TrainedModelReloadsBitIdentically)
         EXPECT_EQ(std::bit_cast<std::uint64_t>(coldPred[i]),
                   std::bit_cast<std::uint64_t>(warmPred[i]));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The single-flight memo
+
+constexpr int kRacers = 8;
+
+/** Run @p body on kRacers threads released together by one latch. */
+template <typename Body>
+void
+race(Body body)
+{
+    std::latch start(kRacers);
+    std::vector<std::thread> threads;
+    threads.reserve(kRacers);
+    for (int t = 0; t < kRacers; ++t) {
+        threads.emplace_back([&start, &body, t] {
+            start.arrive_and_wait();
+            body(t);
+        });
+    }
+    for (auto& thread : threads)
+        thread.join();
+}
+
+TEST(Memo, RacersOnOneKeyRunTheComputeOnce)
+{
+    cache::Memo<int, std::vector<int>> memo("test.memo_race");
+    const std::uint64_t hits0 = counterValue("test.memo_race_hits");
+    const std::uint64_t misses0 = counterValue("test.memo_race_misses");
+    std::atomic<int> runs{0};
+    std::vector<const std::vector<int>*> seen(kRacers);
+
+    race([&](int t) {
+        seen[static_cast<std::size_t>(t)] = &memo.get(7, [&] {
+            runs.fetch_add(1);
+            // Long enough that every racer arrives while in flight.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            return std::vector<int>{1, 2, 3};
+        });
+    });
+
+    EXPECT_EQ(runs.load(), 1);
+    EXPECT_EQ(counterValue("test.memo_race_misses"), misses0 + 1);
+    EXPECT_EQ(counterValue("test.memo_race_hits"), hits0 + kRacers - 1);
+    for (const auto* value : seen) {
+        EXPECT_EQ(value, seen[0]);  // one slot, one stable reference
+        EXPECT_EQ(*value, (std::vector<int>{1, 2, 3}));
+    }
+}
+
+TEST(Memo, ThrowingComputeMemoizesNothing)
+{
+    cache::Memo<int, int> memo("test.memo_throw");
+    int runs = 0;
+    const auto failing = [&]() -> int {
+        ++runs;
+        throw std::runtime_error("compute failed");
+    };
+
+    EXPECT_THROW(memo.get(1, failing), std::runtime_error);
+    EXPECT_FALSE(memo.contains(1));
+
+    // The next get() runs the compute again, and its value sticks.
+    EXPECT_EQ(memo.get(1, [&] { return ++runs * 10; }), 20);
+    EXPECT_TRUE(memo.contains(1));
+    EXPECT_EQ(memo.get(1, failing), 20);
+    EXPECT_EQ(runs, 2);
+}
+
+TEST(Memo, WaitersRetryAfterTheComputeThrows)
+{
+    cache::Memo<int, int> memo("test.memo_retry");
+    std::atomic<int> runs{0};
+    std::atomic<int> thrown{0};
+    std::atomic<int> values{0};
+
+    race([&](int) {
+        try {
+            const int value = memo.get(3, [&] {
+                const int run = runs.fetch_add(1) + 1;
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                if (run == 1)
+                    throw std::runtime_error("first compute fails");
+                return 42;
+            });
+            if (value == 42)
+                values.fetch_add(1);
+        } catch (const std::runtime_error&) {
+            thrown.fetch_add(1);
+        }
+    });
+
+    // Only the failing caller sees the exception; one retry serves
+    // everyone else.
+    EXPECT_EQ(runs.load(), 2);
+    EXPECT_EQ(thrown.load(), 1);
+    EXPECT_EQ(values.load(), kRacers - 1);
+}
+
+TEST(CollectorMemo, RacingFairnessLookupsSimulateTheBagOnce)
+{
+    const ScopedNoCache noCache;
+    predictor::DataCollector collector;
+    const predictor::BagSpec spec{{vision::BenchmarkId::Hog, 20},
+                                  {vision::BenchmarkId::Orb, 20}};
+    const std::uint64_t misses0 =
+        counterValue("collector.shared_cache_misses");
+    std::vector<double> fairness(kRacers);
+
+    race([&](int t) {
+        fairness[static_cast<std::size_t>(t)] =
+            collector.measureFairness(spec);
+    });
+
+    EXPECT_EQ(counterValue("collector.shared_cache_misses"), misses0 + 1);
+    for (double value : fairness) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(value),
+                  std::bit_cast<std::uint64_t>(fairness[0]));
+    }
+}
+
+TEST(CollectorMemo, ColdCampaignCountsOneMissPerDistinctMember)
+{
+    const ScopedNoCache noCache;
+    predictor::DataCollector collector;
+    const predictor::BagMember fast{vision::BenchmarkId::Fast, 20};
+    const predictor::BagMember hog{vision::BenchmarkId::Hog, 20};
+    const predictor::BagMember hog40{vision::BenchmarkId::Hog, 40};
+    const predictor::BagMember orb{vision::BenchmarkId::Orb, 20};
+    const std::vector<predictor::BagSpec> specs{
+        {fast, fast}, {fast, hog}, {hog40, orb}, {orb, fast}};
+    const std::set<predictor::BagMember> distinct{fast, hog, hog40, orb};
+
+    const std::uint64_t misses0 =
+        counterValue("collector.feature_cache_misses");
+    const std::uint64_t hits0 = counterValue("collector.feature_cache_hits");
+    collector.collectAll(specs);
+
+    EXPECT_EQ(counterValue("collector.feature_cache_misses"),
+              misses0 + distinct.size());
+    // Assembly reads every member through the memo again.
+    EXPECT_GE(counterValue("collector.feature_cache_hits"),
+              hits0 + 2 * specs.size());
 }
 
 // ---------------------------------------------------------------------------
