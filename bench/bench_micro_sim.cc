@@ -2,7 +2,7 @@
  * @file
  * The co-run simulation-engine microbench: raw event throughput of the
  * single-bag discrete-event engines (GPU MPS and CPU multicore) against
- * the in-process seed-loop transcription (sim/seed_reference.h — an A/B
+ * the in-process seed-loop transcription (tests/sim_reference.h — an A/B
  * under one machine state, immune to run-to-run machine drift), bag
  * throughput of the batch sweep path (serial loop vs. one parallelFor
  * sweep at the default thread count), and the cold end-to-end campaign
@@ -33,7 +33,7 @@
 #include "common/parallel.h"
 #include "common/parse.h"
 #include "common/table.h"
-#include "sim/seed_reference.h"
+#include "tests/sim_reference.h"
 #include "vision/registry.h"
 
 using namespace mapp;

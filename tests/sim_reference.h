@@ -14,13 +14,12 @@
  * every expression is the seed implementation verbatim (minus tracing
  * and metrics, which do not feed back into the simulated times).
  *
- * Header-only on purpose — mapp_sim must not link against the two
- * simulator libraries; only tests and benches that already link both
- * include this file.
+ * A test oracle, not library code: only tests and benches that already
+ * link both simulator libraries include this file.
  */
 
-#ifndef MAPP_SIM_SEED_REFERENCE_H
-#define MAPP_SIM_SEED_REFERENCE_H
+#ifndef MAPP_TESTS_SIM_REFERENCE_H
+#define MAPP_TESTS_SIM_REFERENCE_H
 
 #include <algorithm>
 #include <limits>
@@ -231,4 +230,4 @@ runCpuSeedLoop(const std::vector<const isa::WorkloadTrace*>& traces,
 
 }  // namespace mapp::sim::reference
 
-#endif  // MAPP_SIM_SEED_REFERENCE_H
+#endif  // MAPP_TESTS_SIM_REFERENCE_H

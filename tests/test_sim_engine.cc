@@ -4,7 +4,7 @@
  *
  * The engine (sim/corun_engine.h) promises bit-identical completion
  * times to the original per-simulator event loops, which live on as
- * literal transcriptions in sim/seed_reference.h. The fuzz tests here
+ * literal transcriptions in tests/sim_reference.h. The fuzz tests here
  * compare the two with EXPECT_EQ on raw doubles — not NEAR — across
  * randomized 1..8-member bags that include the degenerate corners
  * (single-instruction phases, host-staged copies, zero thread counts).
@@ -31,7 +31,7 @@
 #include "obs/trace.h"
 #include "predictor/data_collection.h"
 #include "sim/corun_engine.h"
-#include "sim/seed_reference.h"
+#include "sim_reference.h"
 
 namespace {
 
