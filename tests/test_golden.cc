@@ -112,6 +112,19 @@ constexpr TracePin kTracePins[] = {
     {"FACEDET", 320, 0x3e7e859454a258b7ull},
 };
 
+/** Traces the campaign grid never reaches: batches the per-image
+ * sampler does not take (at most kSampleImages, or not a multiple of
+ * it) and odd training-style batches. They cover the paths the grid
+ * pins only see through scaling. */
+constexpr TracePin kOffGridTracePins[] = {
+    {"SIFT", 6, 0x5667be9d60812a09ull},
+    {"FACEDET", 7, 0x3c998bb55bccae12ull},
+    {"HoG", 3, 0x038db0cb2fe16fa8ull},
+    {"KNN", 5, 0x0e12f4de180fcfc0ull},
+    {"OBJREC", 1, 0x3a42881103b1652full},
+    {"SVM", 3, 0x69b9cd3de5fbe1ccull},
+};
+
 /** Hasher digests of vision outputs over the first kPinnedImages images
  * of the campaign's OBJREC batch at size 20. A trace records only
  * instruction counts, so these pins are what sees an orientation or
@@ -271,24 +284,36 @@ servedLines()
     return lines;
 }
 
-TEST(Golden, ProfiledTraceDigests)
+/** Profile every pinned member (in parallel) and compare its trace
+ * digest with the pin, naming the member on a mismatch. */
+void
+expectTraceDigests(std::span<const TracePin> pins)
 {
     // profileWorkload, not cachedTrace: the pin covers the primitives
     // themselves, never a trace loaded from an artifact cache.
-    constexpr std::size_t n = std::size(kTracePins);
-    ASSERT_EQ(vision::kAllBenchmarks.size() * vision::kBatchSizes.size(), n);
-    std::vector<std::uint64_t> digests(n);
-    parallel::parallelFor(n, [&](std::size_t i) {
-        const auto& pin = kTracePins[i];
+    std::vector<std::uint64_t> digests(pins.size());
+    parallel::parallelFor(pins.size(), [&](std::size_t i) {
         const std::string blob = isa::traceToBinary(vision::profileWorkload(
-            vision::benchmarkFromName(pin.benchmark), pin.batch));
+            vision::benchmarkFromName(pins[i].benchmark), pins[i].batch));
         cache::Hasher h;
         h.add(std::string_view(blob));
         digests[i] = h.digest();
     });
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hex(kTracePins[i].digest), hex(digests[i]))
-            << kTracePins[i].benchmark << "@" << kTracePins[i].batch;
+    for (std::size_t i = 0; i < pins.size(); ++i)
+        EXPECT_EQ(hex(pins[i].digest), hex(digests[i]))
+            << pins[i].benchmark << "@" << pins[i].batch;
+}
+
+TEST(Golden, ProfiledTraceDigests)
+{
+    ASSERT_EQ(vision::kAllBenchmarks.size() * vision::kBatchSizes.size(),
+              std::size(kTracePins));
+    expectTraceDigests(kTracePins);
+}
+
+TEST(Golden, OffGridTraceDigests)
+{
+    expectTraceDigests(kOffGridTracePins);
 }
 
 TEST(Golden, GradientPolarBits)
