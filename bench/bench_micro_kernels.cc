@@ -202,7 +202,11 @@ BM_DistanceMatrixKnn(benchmark::State& state)
             benchmark::DoNotOptimize(
                 reference::distanceMatrix(queries, refs));
         else
-            benchmark::DoNotOptimize(ops::distanceMatrix(queries, refs));
+            ops::distanceRows(queries, refs,
+                              [](std::size_t, std::span<const double> row) {
+                                  benchmark::DoNotOptimize(row.data());
+                                  benchmark::ClobberMemory();
+                              });
     }
     state.SetItemsProcessed(state.iterations() * 760 * 400 * 144);
 }
@@ -238,7 +242,7 @@ void
 BM_GradientPolar(benchmark::State& state)
 {
     // Sobel output of OBJREC@320's first image (profileWorkload's seed).
-    const Image img = generateBatch(BenchmarkId::ObjRec, 1, 320 * 31)[0];
+    const Image img = ImageStream(BenchmarkId::ObjRec, 1, 320 * 31).next();
     Image gx, gy, mag, orient;
     ops::sobel(img, gx, gy);
     for (auto _ : state) {

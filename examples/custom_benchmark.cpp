@@ -22,14 +22,15 @@ using namespace mapp;
 
 namespace {
 
-/** The custom kernel: box blur + contrast stretch over a batch. */
+/** The custom kernel: box blur + contrast stretch over a batch, one
+ * image at a time. */
 std::size_t
-runPhotoFilter(const std::vector<vision::Image>& batch)
+runPhotoFilter(vision::ImageStream& batch)
 {
     std::size_t checksum = 0;
     const std::vector<float> box(25, 1.0f / 25.0f);
-    for (const auto& img : batch) {
-        const vision::Image staged = vision::ops::copyImage(img);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const vision::Image staged = vision::ops::copyImage(batch.next());
         const vision::Image blurred =
             vision::ops::convolve2d(staged, box, 5);
 
@@ -71,7 +72,7 @@ int
 main()
 {
     // 1. Profile the custom workload (PIN/MICA stand-in).
-    const auto batch = vision::generateBatch(
+    vision::ImageStream batch(
         vision::BenchmarkId::Hog, 20, /*seed=*/7);  // any image source
     profiler::ProfilerSession session("PHOTOFILTER", 20);
     runPhotoFilter(batch);

@@ -269,6 +269,8 @@ writeObsOutputs(const ObsOptions& opts)
         else
             warn("failed to write timeline to " + opts.timelineOut);
     }
+    if (!opts.metricsOut.empty() || !opts.metricsPromOut.empty())
+        obs::recordPeakRss(obs::defaultRegistry());
     if (!opts.metricsOut.empty()) {
         if (obs::defaultRegistry().writeJson(opts.metricsOut))
             inform("wrote metrics to " + opts.metricsOut);
@@ -303,14 +305,14 @@ writeObsOutputs(const ObsOptions& opts)
 constexpr int kMaxBatch = 1'000'000;
 
 /**
- * Strictly parse a batch-size token: "1x6", "", "-3" and out-of-range
- * values all fail with the reason, instead of std::stoi's silent
- * truncation or uncaught std::invalid_argument.
+ * Strictly parse a batch-size token: "1x6", "", "-3" and values outside
+ * [min, kMaxBatch] all fail with the reason, instead of std::stoi's
+ * silent truncation or uncaught std::invalid_argument.
  */
 int
-parseBatch(const std::string& text, const std::string& what)
+parseBatch(const std::string& text, const std::string& what, int min)
 {
-    const auto batch = parseBoundedInt(text, 1, kMaxBatch);
+    const auto batch = parseBoundedInt(text, min, kMaxBatch);
     if (!batch)
         fatal("bad " + what + ": " + batch.error().message());
     return batch.value();
@@ -326,7 +328,8 @@ parseMember(const std::string& text)
     predictor::BagMember m;
     m.id = vision::benchmarkFromName(text.substr(0, at));
     m.batchSize = parseBatch(text.substr(at + 1),
-                             "batch in '" + text + "'");
+                             "batch in '" + text + "'",
+                             vision::minBatch(m.id));
     return m;
 }
 
@@ -411,7 +414,8 @@ cmdTrace(const std::string& bench, const std::string& batch,
          const std::string& path)
 {
     const auto id = vision::benchmarkFromName(bench);
-    const int batchSize = parseBatch(batch, "batch '" + batch + "'");
+    const int batchSize =
+        parseBatch(batch, "batch '" + batch + "'", vision::minBatch(id));
     const auto trace = vision::profileWorkload(id, batchSize);
     isa::writeTraceFile(trace, path);
     std::printf("%s\nwrote %zu phases to %s\n", trace.summary().c_str(),

@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -310,6 +312,15 @@ defaultRegistry()
 {
     static Registry instance;
     return instance;
+}
+
+void
+recordPeakRss(Registry& registry)
+{
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) == 0)  // ru_maxrss is in kB
+        registry.gauge(kPeakRssGauge)
+            .set(static_cast<double>(usage.ru_maxrss) / 1024.0);
 }
 
 }  // namespace mapp::obs

@@ -219,6 +219,12 @@ class Registry
 /** The process-wide registry used by the built-in instrumentation. */
 Registry& defaultRegistry();
 
+/** Gauge holding the process's peak resident set size, in MB. */
+inline constexpr std::string_view kPeakRssGauge = "process.peak_rss_mb";
+
+/** Set kPeakRssGauge in @p registry to the peak RSS so far (getrusage). */
+void recordPeakRss(Registry& registry);
+
 }  // namespace mapp::obs
 
 #endif  // MAPP_OBS_METRICS_H

@@ -565,6 +565,8 @@ renderRunReport(const RunReportInputs& inputs)
 
     std::string out = "# MAPP run report\n\n";
     out += "- metrics: `" + inputs.metricsPath + "`\n";
+    if (const double* rss = snap.findGauge(kPeakRssGauge))
+        out += "- peak RSS: " + fmt(*rss, "%.1f") + " MB\n";
 
     PredictionsSummary predictions;
     bool havePredictions = false;

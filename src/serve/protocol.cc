@@ -43,7 +43,7 @@ parseOp(const std::string& name, const std::string& label)
     return protoError("unknown op '" + name + "'", label);
 }
 
-/** "SIFT@40" -> BagMember. */
+/** "SIFT@40" -> BagMember; the batch lies in [minBatch, 1e6]. */
 Result<predictor::BagMember>
 parseMemberRef(const std::string& text, const std::string& label)
 {
@@ -58,8 +58,8 @@ parseMemberRef(const std::string& text, const std::string& label)
     } catch (const FatalError& e) {
         return protoError(e.what(), label);
     }
-    const auto batch =
-        parseBoundedInt(text.substr(at + 1), 1, 1'000'000);
+    const auto batch = parseBoundedInt(
+        text.substr(at + 1), vision::minBatch(member.id), 1'000'000);
     if (!batch)
         return protoError("member '" + text + "': " +
                               batch.error().message(),

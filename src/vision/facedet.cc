@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "vision/ops.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -172,12 +173,11 @@ detectFaces(const Image& img, const FaceDetParams& params)
 }
 
 std::size_t
-runFaceDetBenchmark(const std::vector<Image>& batch,
-                    const FaceDetParams& params)
+runFaceDetBenchmark(ImageStream& batch, const FaceDetParams& params)
 {
     std::size_t total = 0;
-    for (const auto& img : batch) {
-        const Image staged = ops::copyImage(img);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image staged = ops::copyImage(batch.next());
         total += detectFaces(staged, params).size();
     }
     return total;

@@ -16,6 +16,8 @@
 
 namespace mapp::vision {
 
+class ImageStream;
+
 /** Face detector parameters. */
 struct FaceDetParams
 {
@@ -39,7 +41,7 @@ std::vector<FaceBox> detectFaces(const Image& img,
                                  const FaceDetParams& params = {});
 
 /** Run the FaceDet benchmark over a batch; returns total detections. */
-std::size_t runFaceDetBenchmark(const std::vector<Image>& batch,
+std::size_t runFaceDetBenchmark(ImageStream& batch,
                                 const FaceDetParams& params = {});
 
 }  // namespace mapp::vision

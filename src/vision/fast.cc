@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "vision/ops.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -125,11 +126,11 @@ detectFast(const Image& img, const FastParams& params)
 }
 
 std::size_t
-runFastBenchmark(const std::vector<Image>& batch, const FastParams& params)
+runFastBenchmark(ImageStream& batch, const FastParams& params)
 {
     std::size_t total = 0;
-    for (const auto& img : batch) {
-        const Image staged = ops::copyImage(img);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image staged = ops::copyImage(batch.next());
         total += detectFast(staged, params).size();
     }
     return total;

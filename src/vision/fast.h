@@ -15,6 +15,8 @@
 
 namespace mapp::vision {
 
+class ImageStream;
+
 /** FAST detector parameters. */
 struct FastParams
 {
@@ -35,7 +37,7 @@ std::vector<Keypoint> detectFast(const Image& img,
  * Run the FAST benchmark over a batch: detect corners in every image and
  * return the total number of keypoints (checksum).
  */
-std::size_t runFastBenchmark(const std::vector<Image>& batch,
+std::size_t runFastBenchmark(ImageStream& batch,
                              const FastParams& params = {});
 
 }  // namespace mapp::vision

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "vision/ops.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -115,11 +116,11 @@ computeHog(const Image& img, const HogParams& params)
 }
 
 std::size_t
-runHogBenchmark(const std::vector<Image>& batch, const HogParams& params)
+runHogBenchmark(ImageStream& batch, const HogParams& params)
 {
     std::size_t total = 0;
-    for (const auto& img : batch) {
-        const Image staged = ops::copyImage(img);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image staged = ops::copyImage(batch.next());
         total += computeHog(staged, params).size();
     }
     return total;

@@ -13,6 +13,8 @@
 
 namespace mapp::vision {
 
+class ImageStream;
+
 /** HoG parameters. */
 struct HogParams
 {
@@ -25,7 +27,7 @@ struct HogParams
 Descriptor computeHog(const Image& img, const HogParams& params = {});
 
 /** Run the HoG benchmark over a batch; returns total descriptor floats. */
-std::size_t runHogBenchmark(const std::vector<Image>& batch,
+std::size_t runHogBenchmark(ImageStream& batch,
                             const HogParams& params = {});
 
 }  // namespace mapp::vision

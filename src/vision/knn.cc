@@ -6,7 +6,7 @@
 
 #include "common/log.h"
 #include "vision/ops.h"
-#include "vision/svm.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -27,15 +27,14 @@ KnnClassifier::predict(const std::vector<Descriptor>& queries,
     if (queries.empty() || x_.empty())
         return out;
 
-    const auto dists = ops::distanceMatrix(queries, x_);
-
     // Fused top-k selection over all queries (one kernel on a GPU, not
-    // one launch per query), recorded as a single phase.
+    // one launch per query), recorded as a single phase; each query's
+    // vote runs on its distance row as soon as the row is computed.
     InstCount scans = 0;
     out.reserve(queries.size());
     std::vector<bool> used(x_.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        const double* row = dists.data() + q * x_.size();
+    ops::distanceRows(queries, x_, [&](std::size_t,
+                                       std::span<const double> row) {
         std::fill(used.begin(), used.end(), false);
         int votes = 0;
         for (int sel = 0;
@@ -57,7 +56,7 @@ KnnClassifier::predict(const std::vector<Descriptor>& queries,
             votes += y_[bestIdx];
         }
         out.push_back(votes >= 0 ? 1 : -1);
-    }
+    });
 
     const auto q = static_cast<InstCount>(queries.size());
     ops::PhaseBuilder("knn_select")
@@ -140,19 +139,23 @@ gridDescriptors(const Image& img, const KnnParams& params)
 }
 
 std::size_t
-runKnnBenchmark(const std::vector<Image>& batch, const KnnParams& params)
+runKnnBenchmark(ImageStream& batch, const KnnParams& params)
 {
-    if (batch.size() < 4)
+    if (batch.size() < static_cast<std::size_t>(minBatch(BenchmarkId::Knn)))
         return 0;
 
     // Reference dictionary: descriptors from a fixed number of leading
     // images (a feature dictionary does not grow with the batch); every
     // remaining image contributes queries, so cost is linear in batch.
     const std::size_t dictImages = std::min<std::size_t>(16, batch.size() / 2);
+    const std::size_t perImage =
+        static_cast<std::size_t>(params.patchGrid) *
+        static_cast<std::size_t>(params.patchGrid);
 
     std::vector<Descriptor> all;
-    for (const auto& img : batch) {
-        const Image staged = ops::copyImage(img);
+    all.reserve(batch.size() * perImage);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image staged = ops::copyImage(batch.next());
         auto descs = gridDescriptors(staged, params);
         all.insert(all.end(), std::make_move_iterator(descs.begin()),
                    std::make_move_iterator(descs.end()));
@@ -165,9 +168,6 @@ runKnnBenchmark(const std::vector<Image>& batch, const KnnParams& params)
         return acc;
     };
 
-    const std::size_t perImage =
-        static_cast<std::size_t>(params.patchGrid) *
-        static_cast<std::size_t>(params.patchGrid);
     const std::size_t refCount = dictImages * perImage;
 
     std::vector<double> refEnergy;
@@ -179,18 +179,19 @@ runKnnBenchmark(const std::vector<Image>& batch, const KnnParams& params)
                      sorted.end());
     const double median = sorted[sorted.size() / 2];
 
-    std::vector<Descriptor> refs(all.begin(),
-                                 all.begin() + static_cast<long>(refCount));
     std::vector<int> refLabels;
     refLabels.reserve(refCount);
     for (std::size_t i = 0; i < refCount; ++i)
         refLabels.push_back(refEnergy[i] > median ? 1 : -1);
 
+    // The queries move out of the tail; the head left is the dictionary.
     std::vector<Descriptor> queries(
-        all.begin() + static_cast<long>(refCount), all.end());
+        std::make_move_iterator(all.begin() + static_cast<long>(refCount)),
+        std::make_move_iterator(all.end()));
+    all.resize(refCount);
 
     KnnClassifier knn;
-    knn.fit(std::move(refs), std::move(refLabels));
+    knn.fit(std::move(all), std::move(refLabels));
     const auto labels = knn.predict(queries, params);
 
     std::size_t positives = 0;

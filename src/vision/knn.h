@@ -1,7 +1,7 @@
 /**
  * @file
  * Brute-force k-nearest-neighbor classification (Garcia et al. 2010
- * style: full distance matrix + per-query top-k selection).
+ * style: all-pairs distances + per-query top-k selection).
  */
 
 #ifndef MAPP_VISION_KNN_H
@@ -12,6 +12,8 @@
 #include "vision/image.h"
 
 namespace mapp::vision {
+
+class ImageStream;
 
 /** KNN parameters. */
 struct KnnParams
@@ -39,7 +41,7 @@ class KnnClassifier
 
     /**
      * Classify queries by majority vote among the k nearest references
-     * (instrumented: "distance_matrix" + "top_k_select" phases).
+     * (instrumented: "distance_matrix" + "knn_select" phases).
      */
     std::vector<int> predict(const std::vector<Descriptor>& queries,
                              const KnnParams& params = {}) const;
@@ -55,7 +57,7 @@ class KnnClassifier
  * Run the KNN benchmark: split the batch into references and queries,
  * classify the queries; returns the number classified into class 1.
  */
-std::size_t runKnnBenchmark(const std::vector<Image>& batch,
+std::size_t runKnnBenchmark(ImageStream& batch,
                             const KnnParams& params = {});
 
 }  // namespace mapp::vision

@@ -5,6 +5,7 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "vision/ops.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -98,16 +99,15 @@ ObjectRecognizer::classify(const Image& img) const
 }
 
 std::size_t
-runObjRecBenchmark(const std::vector<Image>& batch,
-                   const ObjRecParams& params)
+runObjRecBenchmark(ImageStream& batch, const ObjRecParams& params)
 {
-    if (batch.empty())
-        return 0;
     ObjectRecognizer rec;
-    rec.train(batch.front().width(), 0xC1A55ull, params);
-
     std::size_t checksum = 0;
-    for (const auto& img : batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image img = batch.next();
+        // Train once, on prototypes the size of the inputs.
+        if (!rec.trained())
+            rec.train(img.width(), 0xC1A55ull, params);
         const Image staged = ops::copyImage(img);
         checksum += static_cast<std::size_t>(rec.classify(staged));
     }

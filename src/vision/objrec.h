@@ -16,6 +16,8 @@
 
 namespace mapp::vision {
 
+class ImageStream;
+
 /** ObjRec parameters. */
 struct ObjRecParams
 {
@@ -49,10 +51,11 @@ class ObjectRecognizer
 };
 
 /**
- * Run the ObjRec benchmark: train on prototypes once, classify the whole
- * batch; returns the sum of predicted class indices (checksum).
+ * Run the ObjRec benchmark: train on prototypes once, then classify each
+ * image as it arrives; returns the sum of predicted class indices
+ * (checksum).
  */
-std::size_t runObjRecBenchmark(const std::vector<Image>& batch,
+std::size_t runObjRecBenchmark(ImageStream& batch,
                                const ObjRecParams& params = {});
 
 }  // namespace mapp::vision

@@ -160,7 +160,7 @@ addTap(float* __restrict__ acc, const float* __restrict__ src, float weight,
         acc[x] += src[x] * weight;
 }
 
-/** References per distanceMatrix panel. */
+/** References per distanceRows panel. */
 constexpr std::size_t kPanel = 8;
 
 /**
@@ -818,12 +818,12 @@ dot(std::span<const float> a, std::span<const float> b)
     return acc;
 }
 
-std::vector<double>
-distanceMatrix(const std::vector<Descriptor>& a,
-               const std::vector<Descriptor>& b)
+void
+distanceRows(
+    const std::vector<Descriptor>& a, const std::vector<Descriptor>& b,
+    const std::function<void(std::size_t, std::span<const double>)>& fn)
 {
     const std::size_t dim = a.empty() ? 0 : a.front().size();
-    std::vector<double> out(a.size() * b.size(), 0.0);
 
     // The references are packed in panels of kPanel, dimension-major and
     // widened to double (a padded lane stays zero and is never copied
@@ -837,6 +837,7 @@ distanceMatrix(const std::vector<Descriptor>& a,
             lane[d * kPanel] = static_cast<double>(b[j][d]);
     }
     std::vector<double> query(dim);
+    std::vector<double> row(b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         for (std::size_t d = 0; d < dim; ++d)
             query[d] = static_cast<double>(a[i][d]);
@@ -846,9 +847,11 @@ distanceMatrix(const std::vector<Descriptor>& a,
                            dim, dist);
             const std::size_t j0 = p * kPanel;
             std::copy(dist, dist + std::min(kPanel, b.size() - j0),
-                      &out[i * b.size() + j0]);
+                      row.begin() + static_cast<std::ptrdiff_t>(j0));
         }
+        fn(i, row);
     }
+    // The phase models a GPU kernel that writes the whole matrix.
     const auto ops = static_cast<InstCount>(a.size()) *
                      static_cast<InstCount>(b.size()) *
                      static_cast<InstCount>(std::max<std::size_t>(dim, 1));
@@ -865,14 +868,13 @@ distanceMatrix(const std::vector<Descriptor>& a,
         .write(pairs * static_cast<Bytes>(sizeof(double)))
         .foot((static_cast<Bytes>(a.size()) + static_cast<Bytes>(b.size())) *
                   static_cast<Bytes>(dim) * kF +
-              static_cast<Bytes>(out.size()) *
+              static_cast<Bytes>(pairs) *
                   static_cast<Bytes>(sizeof(double)))
         .par(0.97)
         .items(pairs)
         .loc(0.3)  // streaming through both sets
         .div(0.02)
         .record();
-    return out;
 }
 
 std::vector<int>

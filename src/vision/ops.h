@@ -15,6 +15,7 @@
 #define MAPP_VISION_OPS_H
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -90,11 +91,15 @@ std::vector<std::pair<int, int>> nonMaxSuppress(const Image& response,
 double dot(std::span<const float> a, std::span<const float> b);
 
 /**
- * All-pairs squared Euclidean distances between row sets; result is
- * a.size() x b.size(), row-major. Streaming, memory-bound mix.
+ * All-pairs squared Euclidean distances between row sets, visited one
+ * row at a time: @p fn(i, row) gets the distances from a[i] to every
+ * element of b, in a buffer the next row reuses, so the a.size() x
+ * b.size() matrix is never held. Records one "distance_matrix" phase
+ * (streaming, memory-bound mix) for all the rows.
  */
-std::vector<double> distanceMatrix(
-    const std::vector<Descriptor>& a, const std::vector<Descriptor>& b);
+void distanceRows(
+    const std::vector<Descriptor>& a, const std::vector<Descriptor>& b,
+    const std::function<void(std::size_t, std::span<const double>)>& fn);
 
 /**
  * Indices of the k smallest values in @p values (selection by repeated

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "vision/ops.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -174,11 +175,11 @@ detectOrb(const Image& img, const OrbParams& params)
 }
 
 std::size_t
-runOrbBenchmark(const std::vector<Image>& batch, const OrbParams& params)
+runOrbBenchmark(ImageStream& batch, const OrbParams& params)
 {
     std::size_t bytes = 0;
-    for (const auto& img : batch) {
-        const Image staged = ops::copyImage(img);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image staged = ops::copyImage(batch.next());
         const auto res = detectOrb(staged, params);
         for (const auto& d : res.descriptors)
             bytes += d.size();

@@ -14,6 +14,8 @@
 
 namespace mapp::vision {
 
+class ImageStream;
+
 /** ORB parameters. */
 struct OrbParams
 {
@@ -37,7 +39,7 @@ OrbResult detectOrb(const Image& img, const OrbParams& params = {});
  * Run the ORB benchmark over a batch; returns total descriptor bytes as a
  * checksum.
  */
-std::size_t runOrbBenchmark(const std::vector<Image>& batch,
+std::size_t runOrbBenchmark(ImageStream& batch,
                             const OrbParams& params = {});
 
 }  // namespace mapp::vision

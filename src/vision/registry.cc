@@ -77,28 +77,36 @@ benchmarkDescription(BenchmarkId id)
     panic("benchmarkDescription: invalid benchmark id");
 }
 
-std::vector<Image>
-generateBatch(BenchmarkId id, int n, std::uint64_t seed)
+int
+minBatch(BenchmarkId id)
 {
-    // Mix the benchmark id and seed so each (benchmark, batch) pair sees
-    // distinct deterministic content.
-    Rng rng(seed * 0x9E3779B97F4A7C15ull +
-            static_cast<std::uint64_t>(id) * 0x100000001B3ull + 17);
-    std::vector<Image> out;
-    out.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        if (id == BenchmarkId::FaceDet) {
-            out.push_back(synth::facesScene(kImageSize, kImageSize, rng,
-                                            2 + i % 3));
-        } else {
-            out.push_back(synth::scene(kImageSize, kImageSize, rng));
-        }
-    }
-    return out;
+    return id == BenchmarkId::Knn ? 4 : 1;
+}
+
+// Mix the benchmark id and seed so each (benchmark, batch) pair sees
+// distinct deterministic content.
+ImageStream::ImageStream(BenchmarkId id, int n, std::uint64_t seed)
+    : id_(id), n_(n),
+      rng_(seed * 0x9E3779B97F4A7C15ull +
+           static_cast<std::uint64_t>(id) * 0x100000001B3ull + 17)
+{
+    if (n < 0)
+        panic("ImageStream: negative batch size");
+}
+
+Image
+ImageStream::next()
+{
+    if (taken_ >= n_)
+        panic("ImageStream::next: batch exhausted");
+    const int i = taken_++;
+    if (id_ == BenchmarkId::FaceDet)
+        return synth::facesScene(kImageSize, kImageSize, rng_, 2 + i % 3);
+    return synth::scene(kImageSize, kImageSize, rng_);
 }
 
 std::size_t
-runBenchmark(BenchmarkId id, const std::vector<Image>& batch)
+runBenchmark(BenchmarkId id, ImageStream& batch)
 {
     switch (id) {
       case BenchmarkId::Fast: return runFastBenchmark(batch);
@@ -155,8 +163,10 @@ scaleTrace(const isa::WorkloadTrace& trace, std::uint64_t factor)
 isa::WorkloadTrace
 profileWorkload(BenchmarkId id, int batch_size, std::uint64_t seed)
 {
-    if (batch_size <= 0)
-        fatal("profileWorkload: batch size must be positive");
+    if (batch_size < minBatch(id))
+        fatal("profileWorkload: " + benchmarkName(id) + " needs a batch of "
+              "at least " + std::to_string(minBatch(id)) + ", got " +
+              std::to_string(batch_size));
 
     const bool sampled =
         isPerImage(id) && batch_size > kSampleImages &&
@@ -165,7 +175,7 @@ profileWorkload(BenchmarkId id, int batch_size, std::uint64_t seed)
 
     // The seed folds in the batch size so every batch size sees its own
     // image content (a new data point in the paper's sense).
-    const auto batch = generateBatch(
+    ImageStream batch(
         id, executed, seed ^ static_cast<std::uint64_t>(batch_size) * 31ull);
 
     profiler::ProfilerSession session(benchmarkName(id), batch_size);

@@ -12,8 +12,8 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "common/rng.h"
 #include "isa/trace.h"
 #include "vision/image.h"
 
@@ -60,17 +60,42 @@ std::string benchmarkDescription(BenchmarkId id);
 inline constexpr int kImageSize = 192;
 
 /**
- * Generate the input batch a benchmark would be fed: face-bearing scenes
- * for FACEDET, cluttered scenes otherwise. Deterministic in (id, n,
- * seed).
+ * Smallest batch a benchmark can run on: KNN splits its batch into a
+ * reference dictionary and queries, so it needs 4 images; every other
+ * benchmark runs on one.
  */
-std::vector<Image> generateBatch(BenchmarkId id, int n, std::uint64_t seed);
+int minBatch(BenchmarkId id);
 
 /**
- * Execute one benchmark on a batch (no profiling); returns the
- * benchmark's checksum. Useful for functional tests.
+ * The input batch a benchmark is fed, generated one image at a time:
+ * face-bearing scenes for FACEDET, cluttered scenes otherwise.
+ * Deterministic in (id, n, seed). A benchmark holds only what it keeps
+ * of each image, so running a batch costs the memory of one image, not
+ * of the whole batch. Generation records no profiler phases.
  */
-std::size_t runBenchmark(BenchmarkId id, const std::vector<Image>& batch);
+class ImageStream
+{
+  public:
+    ImageStream(BenchmarkId id, int n, std::uint64_t seed);
+
+    /** Images in the batch, taken or not. */
+    std::size_t size() const { return static_cast<std::size_t>(n_); }
+
+    /** The next image of the batch. Panics past the last one. */
+    Image next();
+
+  private:
+    BenchmarkId id_;
+    int n_;
+    int taken_ = 0;
+    Rng rng_;
+};
+
+/**
+ * Execute one benchmark on a batch (no profiling), consuming the
+ * stream; returns the benchmark's checksum. Useful for functional tests.
+ */
+std::size_t runBenchmark(BenchmarkId id, ImageStream& batch);
 
 /**
  * Profile one benchmark at the given batch size: run it under a profiler
@@ -79,7 +104,9 @@ std::size_t runBenchmark(BenchmarkId id, const std::vector<Image>& batch);
  * Per-image benchmarks are sampled on a few distinct images and the
  * trace is scaled to the full batch (their work is linear per image);
  * the training-style benchmarks (SVM, KNN, OBJREC) always run the full
- * batch since their cost is not linear in it.
+ * batch since their cost is not linear in it. Either way the images are
+ * streamed, so memory does not grow with the batch.
+ * @throws FatalError below minBatch(id).
  */
 isa::WorkloadTrace profileWorkload(BenchmarkId id, int batch_size,
                                    std::uint64_t seed = 0);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "vision/ops.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -226,11 +227,11 @@ detectSift(const Image& img, const SiftParams& params)
 }
 
 std::size_t
-runSiftBenchmark(const std::vector<Image>& batch, const SiftParams& params)
+runSiftBenchmark(ImageStream& batch, const SiftParams& params)
 {
     std::size_t total = 0;
-    for (const auto& img : batch) {
-        const Image staged = ops::copyImage(img);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image staged = ops::copyImage(batch.next());
         total += detectSift(staged, params).keypoints.size();
     }
     return total;

@@ -14,6 +14,8 @@
 
 namespace mapp::vision {
 
+class ImageStream;
+
 /** SIFT parameters. */
 struct SiftParams
 {
@@ -34,7 +36,7 @@ struct SiftResult
 SiftResult detectSift(const Image& img, const SiftParams& params = {});
 
 /** Run the SIFT benchmark over a batch; returns total keypoints. */
-std::size_t runSiftBenchmark(const std::vector<Image>& batch,
+std::size_t runSiftBenchmark(ImageStream& batch,
                              const SiftParams& params = {});
 
 }  // namespace mapp::vision

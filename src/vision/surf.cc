@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "vision/ops.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -167,11 +168,11 @@ detectSurf(const Image& img, const SurfParams& params)
 }
 
 std::size_t
-runSurfBenchmark(const std::vector<Image>& batch, const SurfParams& params)
+runSurfBenchmark(ImageStream& batch, const SurfParams& params)
 {
     std::size_t total = 0;
-    for (const auto& img : batch) {
-        const Image staged = ops::copyImage(img);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image staged = ops::copyImage(batch.next());
         total += detectSurf(staged, params).keypoints.size();
     }
     return total;

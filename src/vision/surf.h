@@ -14,6 +14,8 @@
 
 namespace mapp::vision {
 
+class ImageStream;
+
 /** SURF parameters. */
 struct SurfParams
 {
@@ -33,7 +35,7 @@ struct SurfResult
 SurfResult detectSurf(const Image& img, const SurfParams& params = {});
 
 /** Run the SURF benchmark over a batch; returns total keypoints. */
-std::size_t runSurfBenchmark(const std::vector<Image>& batch,
+std::size_t runSurfBenchmark(ImageStream& batch,
                              const SurfParams& params = {});
 
 }  // namespace mapp::vision

@@ -5,6 +5,7 @@
 
 #include "common/log.h"
 #include "vision/ops.h"
+#include "vision/registry.h"
 
 namespace mapp::vision {
 
@@ -130,18 +131,20 @@ LinearSvm::accuracy(const std::vector<Descriptor>& x,
 }
 
 std::size_t
-runSvmBenchmark(const std::vector<Image>& batch, const SvmParams& params)
+runSvmBenchmark(ImageStream& batch, const SvmParams& params)
 {
-    if (batch.empty())
+    if (batch.size() == 0)
         return 0;
 
     // Extract descriptors; label images by whether their mean intensity
-    // exceeds the batch median (a deterministic, learnable split).
+    // exceeds the batch median (a deterministic, learnable split). Only
+    // the thumbnail and the mean of each image are kept.
     std::vector<Descriptor> xs;
     std::vector<double> means;
     xs.reserve(batch.size());
-    for (const auto& img : batch) {
-        const Image staged = ops::copyImage(img);
+    means.reserve(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image staged = ops::copyImage(batch.next());
         xs.push_back(thumbnailDescriptor(staged));
         means.push_back(staged.mean());
     }

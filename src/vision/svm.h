@@ -16,6 +16,8 @@
 
 namespace mapp::vision {
 
+class ImageStream;
+
 /** Linear SVM hyper-parameters. */
 struct SvmParams
 {
@@ -58,7 +60,7 @@ class LinearSvm
  * Run the SVM benchmark: extract compact descriptors from the batch,
  * train a linear SVM, predict the batch back; returns correct count.
  */
-std::size_t runSvmBenchmark(const std::vector<Image>& batch,
+std::size_t runSvmBenchmark(ImageStream& batch,
                             const SvmParams& params = {});
 
 /**

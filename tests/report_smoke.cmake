@@ -49,6 +49,7 @@ endif()
 
 foreach(section
         "# MAPP run report"
+        "- peak RSS: "
         "## Phase tree"
         "## Latency percentiles"
         "## Prediction quality"

@@ -2,7 +2,8 @@
 # stdin (ping, a member-form predict, a raw predict_batch, stats,
 # shutdown), then assert the service answered every request, exited 0
 # on the shutdown op, and wrote an intact metrics sidecar; a removed
-# serve flag must exit 2 as an unknown flag. Driven by ctest:
+# serve flag must exit 2 as an unknown flag, and `predict KNN@3` must
+# fail before it trains. Driven by ctest:
 #   cmake -DMAPP_CLI=<path> -DWORK_DIR=<dir> -P serve_smoke.cmake
 
 foreach(var MAPP_CLI WORK_DIR)
@@ -87,4 +88,26 @@ execute_process(
 if(NOT rc EQUAL 2)
     message(FATAL_ERROR
             "serve_smoke: --linger-ms exited ${rc}, not 2:\n${err}")
+endif()
+
+# KNN needs 4 images (references plus queries). A smaller KNN member
+# must fail while the arguments are parsed, naming the range, not after
+# training on the campaign and then simulating an empty trace.
+execute_process(
+    COMMAND "${MAPP_CLI}" predict KNN@3 FAST@20
+    OUTPUT_VARIABLE out
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+if(rc EQUAL 0)
+    message(FATAL_ERROR "serve_smoke: predict KNN@3 exited 0:\n${out}")
+endif()
+string(FIND "${out}" "training" pos)
+if(NOT pos EQUAL -1)
+    message(FATAL_ERROR
+            "serve_smoke: predict KNN@3 trained before failing:\n${out}")
+endif()
+string(FIND "${err}" "[4, 1000000]" pos)
+if(pos EQUAL -1)
+    message(FATAL_ERROR
+            "serve_smoke: predict KNN@3 did not name the range:\n${err}")
 endif()

@@ -182,18 +182,20 @@ model()
     return fitted;
 }
 
-/** The pinned images: generateBatch exactly as profileWorkload calls
- * it for OBJREC@20 (default seed 0, folded with the batch size). */
+/** The pinned images: the head of the stream profileWorkload feeds
+ * OBJREC@20 (default seed 0, folded with the batch size). */
 const std::vector<vision::Image>&
 pinnedImages()
 {
     static const std::vector<vision::Image> images = [] {
         constexpr int batch = 20;
-        auto all = vision::generateBatch(
+        vision::ImageStream stream(
             vision::BenchmarkId::ObjRec, batch,
             static_cast<std::uint64_t>(batch) * 31ull);
-        all.resize(kPinnedImages);
-        return all;
+        std::vector<vision::Image> head;
+        for (int i = 0; i < kPinnedImages; ++i)
+            head.push_back(stream.next());
+        return head;
     }();
     return images;
 }

@@ -173,11 +173,29 @@ TEST(Ops, DotMatchesManualComputation)
     EXPECT_DOUBLE_EQ(ops::dot(a, b), 32.0);
 }
 
-TEST(Ops, DistanceMatrixValues)
+/** The rows ops::distanceRows visits, assembled into the row-major
+ * a.size() x b.size() matrix; checks each row arrives once, in order,
+ * with one distance per element of @p b. */
+std::vector<double>
+assembledDistances(const std::vector<Descriptor>& a,
+                   const std::vector<Descriptor>& b)
+{
+    std::vector<double> out;
+    std::size_t rows = 0;
+    ops::distanceRows(a, b, [&](std::size_t i, std::span<const double> row) {
+        EXPECT_EQ(i, rows++);
+        EXPECT_EQ(row.size(), b.size());
+        out.insert(out.end(), row.begin(), row.end());
+    });
+    EXPECT_EQ(rows, a.size());
+    return out;
+}
+
+TEST(Ops, DistanceRowsValues)
 {
     const std::vector<Descriptor> a{{0.0f, 0.0f}, {1.0f, 1.0f}};
     const std::vector<Descriptor> b{{0.0f, 1.0f}};
-    const auto d = ops::distanceMatrix(a, b);
+    const auto d = assembledDistances(a, b);
     ASSERT_EQ(d.size(), 2u);
     EXPECT_DOUBLE_EQ(d[0], 1.0);
     EXPECT_DOUBLE_EQ(d[1], 1.0);
@@ -418,7 +436,7 @@ TEST(OpsOracle, DistanceMatrixIncludingEmptySets)
             const auto a = descriptors(na, dim, ++seed);
             const auto b = descriptors(nb, dim, ++seed);
             expectMatchesOracle(
-                [&] { return ops::distanceMatrix(a, b); },
+                [&] { return assembledDistances(a, b); },
                 [&] { return reference::distanceMatrix(a, b); },
                 kSameBits);
         }
@@ -590,8 +608,9 @@ TEST(OpsOracle, GradientPolarTailWidths)
 
 TEST(OpsOracle, GradientPolarOnSobelOfCampaignImages)
 {
-    const auto batch = generateBatch(BenchmarkId::ObjRec, 2, 7);
-    for (const auto& img : batch) {
+    ImageStream batch(BenchmarkId::ObjRec, 2, 7);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Image img = batch.next();
         Image gx, gy;
         ops::sobel(img, gx, gy);
         expectPolarMatchesOracle(gx, gy);

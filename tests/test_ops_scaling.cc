@@ -80,12 +80,14 @@ TEST(OpScaling, DotCountsScaleWithLength)
                 4.0, 0.5);
 }
 
-TEST(OpScaling, DistanceMatrixCountsScaleWithPairs)
+TEST(OpScaling, DistanceRowsCountsScaleWithPairs)
 {
     const std::vector<Descriptor> a8(8, Descriptor(16, 1.0f));
     const std::vector<Descriptor> a16(16, Descriptor(16, 1.0f));
-    const auto small = instsOf([&] { ops::distanceMatrix(a8, a8); });
-    const auto large = instsOf([&] { ops::distanceMatrix(a16, a16); });
+    const auto ignore = [](std::size_t, std::span<const double>) {};
+    const auto small = instsOf([&] { ops::distanceRows(a8, a8, ignore); });
+    const auto large =
+        instsOf([&] { ops::distanceRows(a16, a16, ignore); });
     EXPECT_NEAR(static_cast<double>(large) / static_cast<double>(small),
                 4.0, 0.6);
 }

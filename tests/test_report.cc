@@ -461,6 +461,35 @@ TEST(Report, OptionalSidecarsDegradeToNotes)
     std::remove(metrics.c_str());
 }
 
+TEST(Report, ShowsThePeakRssGauge)
+{
+    obs::Registry reg;
+    reg.counter("runs").add(1);
+    const std::string without =
+        writeTemp("report_no_rss.json", reg.toJson());
+    const auto plain =
+        obs::renderRunReport(obs::RunReportInputs{without, "", ""});
+    ASSERT_TRUE(plain.ok()) << plain.error().message();
+    EXPECT_EQ(plain.value().find("peak RSS"), std::string::npos);
+
+    obs::recordPeakRss(reg);
+    const obs::RegistrySnapshot snap = reg.snapshot();
+    const double* rss = snap.findGauge(obs::kPeakRssGauge);
+    ASSERT_NE(rss, nullptr);
+    EXPECT_GT(*rss, 0.0);  // this process is resident
+
+    reg.gauge(obs::kPeakRssGauge).set(18.3);
+    const std::string with = writeTemp("report_rss.json", reg.toJson());
+    const auto report =
+        obs::renderRunReport(obs::RunReportInputs{with, "", ""});
+    ASSERT_TRUE(report.ok()) << report.error().message();
+    EXPECT_NE(report.value().find("- peak RSS: 18.3 MB"), std::string::npos)
+        << report.value();
+
+    std::remove(without.c_str());
+    std::remove(with.c_str());
+}
+
 TEST(Report, MissingOrMalformedMetricsFails)
 {
     const auto missing = obs::renderRunReport(

@@ -489,6 +489,25 @@ TEST(ServeProtocol, ParsesPredictRequestsAndRejectsMalformedOnes)
                      .ok());
 }
 
+TEST(ServeProtocol, RejectsMembersBelowTheirMinimumBatch)
+{
+    // KNN splits its batch into references and queries, so KNN@3 would
+    // profile to an empty trace; the parser refuses it, naming the
+    // member and the accepted range, before any profiling.
+    const auto knn3 = serve::parseRequest(
+        R"({"op":"predict","a":"KNN@3","b":"FAST@20"})", "conn7");
+    ASSERT_FALSE(knn3.ok());
+    EXPECT_EQ(knn3.error().code(), ErrorCode::Parse);
+    EXPECT_EQ(knn3.error().context().file, "conn7");
+    const std::string message = knn3.error().message();
+    EXPECT_NE(message.find("KNN@3"), std::string::npos) << message;
+    EXPECT_NE(message.find("[4, 1000000]"), std::string::npos) << message;
+
+    EXPECT_TRUE(serve::parseRequest(
+                    R"({"op":"predict","a":"KNN@4","b":"FAST@1"})")
+                    .ok());
+}
+
 TEST(ServeProtocol, ResponsesAreWellFormedJsonl)
 {
     EXPECT_EQ(serve::ackResponse("7", serve::RequestOp::Ping),
