@@ -83,8 +83,17 @@ parseRawApp(const obs::JsonValue& obj, const char* slot,
     if (const auto* app = obj.find("app");
         app != nullptr && app->kind() == obs::JsonValue::Kind::String)
         features.app = app->text();
-    features.batchSize =
-        static_cast<int>(obj.memberNumberOr("batch", 0.0));
+    if (const auto* batch = obj.find("batch")) {
+        // Checked before the cast: a double outside int's range (1e300)
+        // would make static_cast<int> undefined behaviour.
+        const double n = batch->numberOr(-1.0);
+        if (!(n >= 0.0 && n <= 1'000'000.0) || n != std::floor(n))
+            return protoError("query member '"s + slot +
+                                  "' 'batch' must be a whole number in "
+                                  "[0, 1000000]",
+                              label);
+        features.batchSize = static_cast<int>(n);
+    }
     const auto requireNumber =
         [&](const char* key) -> Result<double> {
         const auto* v = obj.find(key);

@@ -508,6 +508,40 @@ TEST(ServeProtocol, RejectsMembersBelowTheirMinimumBatch)
                     .ok());
 }
 
+TEST(ServeProtocol, RawBatchMustBeAWholeNumberInRange)
+{
+    // A raw app's optional "batch" is cast to int; 1e300 used to reach
+    // that cast (undefined behaviour), and -1 or 2.5 were accepted.
+    const auto line = [](const std::string& batch) {
+        const std::string app =
+            R"({"cpu_time":0.5,"gpu_time":0.25,"batch":)" + batch +
+            R"(,"mix":[10,10,10,10,10,10,10,10,20]})";
+        const std::string plain =
+            R"({"cpu_time":0.5,"gpu_time":0.25,)"
+            R"("mix":[10,10,10,10,10,10,10,10,20]})";
+        return R"({"op":"predict","a":)" + plain + R"(,"b":)" + app +
+               R"(,"fairness":0.5})";
+    };
+    for (const char* bad : {"1e300", "-1", "2.5", "1000001", "\"8\""}) {
+        const auto parsed = serve::parseRequest(line(bad), "conn3");
+        ASSERT_FALSE(parsed.ok()) << bad;
+        EXPECT_EQ(parsed.error().code(), ErrorCode::Parse) << bad;
+        EXPECT_EQ(parsed.error().context().file, "conn3") << bad;
+        EXPECT_NE(parsed.error().message().find("member 'b'"),
+                  std::string::npos)
+            << parsed.error().message();
+    }
+    for (const auto& [text, batch] :
+         std::vector<std::pair<std::string, int>>{
+             {"0", 0}, {"40", 40}, {"1e6", 1'000'000}}) {
+        const auto parsed = serve::parseRequest(line(text));
+        ASSERT_TRUE(parsed.ok()) << text << ": "
+                                 << parsed.error().toString();
+        EXPECT_EQ(parsed.value().queries[0].raw.b.batchSize, batch);
+        EXPECT_EQ(parsed.value().queries[0].raw.a.batchSize, 0);
+    }
+}
+
 TEST(ServeProtocol, ResponsesAreWellFormedJsonl)
 {
     EXPECT_EQ(serve::ackResponse("7", serve::RequestOp::Ping),
