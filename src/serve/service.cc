@@ -99,6 +99,7 @@ PredictionService::submit(std::vector<predictor::BagQuery> queries,
     job.done = std::move(done);
 
     bool rejected = false;
+    bool answerHere = false;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         if (draining_) {
@@ -107,6 +108,10 @@ PredictionService::submit(std::vector<predictor::BagQuery> queries,
             rejectedCounter_.add(1);
             done = std::move(job.done);
             rejected = true;
+        } else if (!busy_ && queue_.empty()) {
+            busy_ = true;
+            answerHere = true;
+            done = nullptr;
         } else {
             queue_.push_back(std::move(job));
             queuedRows_ += rows;
@@ -118,7 +123,33 @@ PredictionService::submit(std::vector<predictor::BagQuery> queries,
     // code (it can even resubmit).
     if (done)
         return refuse(rejected ? "queue_full" : "shutting_down");
-    queueCv_.notify_one();
+    if (!answerHere) {
+        queueCv_.notify_one();
+        return true;
+    }
+
+    // Idle service: answer on this thread. Handing the job to the
+    // sleeping worker would cost a wakeup many times the answer
+    // itself. Jobs submitted meanwhile (a callback may resubmit) queue
+    // behind busy_ and the worker takes them once it clears.
+    struct ClearBusy
+    {
+        PredictionService& service;
+        ~ClearBusy()
+        {
+            bool wake = false;
+            {
+                std::lock_guard<std::mutex> lock(service.queueMutex_);
+                service.busy_ = false;
+                wake = service.draining_ || !service.queue_.empty();
+            }
+            if (wake)
+                service.queueCv_.notify_one();
+        }
+    } clearBusy{*this};
+    std::vector<Job> batch;
+    batch.push_back(std::move(job));
+    processBatch(std::move(batch));
     return true;
 }
 
@@ -189,31 +220,36 @@ PredictionService::queuedRows() const
 void
 PredictionService::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(queueMutex_);
     for (;;) {
-        std::vector<Job> batch;
-        {
-            std::unique_lock<std::mutex> lock(queueMutex_);
-            queueCv_.wait(lock, [this] {
-                return draining_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return;  // draining_ and nothing left to answer
+        // busy_ means a batch is in flight (an inline answer on a
+        // submitting thread): wait for it so at most one runs, and so
+        // drain() cannot return while it is still answering.
+        queueCv_.wait(lock, [this] {
+            return !busy_ && (draining_ || !queue_.empty());
+        });
+        if (queue_.empty())
+            return;  // draining_ and nothing left to answer
 
-            // Take whole jobs until the batch reaches batchRows. A
-            // single job larger than batchRows is taken whole — the
-            // engine's lock-step kernel handles any row count and a
-            // job is never split across predictBatch calls.
-            std::size_t batchedRows = 0;
-            while (!queue_.empty() &&
-                   (batch.empty() || batchedRows < options_.batchRows)) {
-                batchedRows += queue_.front().queries.size();
-                queuedRows_ -= queue_.front().queries.size();
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
-            queueRowsGauge_.set(static_cast<double>(queuedRows_));
+        // Take whole jobs until the batch reaches batchRows. A single
+        // job larger than batchRows is taken whole — the engine's
+        // lock-step kernel handles any row count and a job is never
+        // split across predictBatch calls.
+        std::vector<Job> batch;
+        std::size_t batchedRows = 0;
+        while (!queue_.empty() &&
+               (batch.empty() || batchedRows < options_.batchRows)) {
+            batchedRows += queue_.front().queries.size();
+            queuedRows_ -= queue_.front().queries.size();
+            batch.push_back(std::move(queue_.front()));
+            queue_.pop_front();
         }
+        queueRowsGauge_.set(static_cast<double>(queuedRows_));
+        busy_ = true;
+        lock.unlock();
         processBatch(std::move(batch));
+        lock.lock();
+        busy_ = false;
     }
 }
 

@@ -11,14 +11,22 @@
  *    so memory stays bounded and clients get an immediate, actionable
  *    signal (retry, shed, or route elsewhere) instead of unbounded
  *    latency.
- *  - Work-conserving batching. The worker sleeps only while the queue
- *    is empty. Once awake it takes queued jobs until it holds
- *    batchRows rows or the queue is empty, and answers them with ONE
- *    MultiAppPredictor::predictBatch call — bit-identical to per-row
- *    predict() by the engine's construction. An idle worker therefore
- *    answers a lone request at once; batches form only from requests
- *    that arrive while it is busy, which is the only time batching
- *    saves anything.
+ *  - Idle answers on the caller's thread. When the queue is empty and
+ *    no batch is in flight, submit() answers the job itself, on the
+ *    submitting thread, through the same processBatch() the worker
+ *    uses. Handing a lone job to a sleeping worker costs a
+ *    condition-variable wakeup (~30 us) many times the answer (~1 us).
+ *    One busy_ flag, under the queue mutex, marks a batch in flight
+ *    on either path, so at most one batch runs at a time.
+ *  - Work-conserving batching under load. Jobs that arrive while a
+ *    batch is in flight queue; the worker sleeps until the queue is
+ *    non-empty and nothing is in flight, then takes queued jobs until
+ *    it holds batchRows rows or the queue is empty, and answers them
+ *    with ONE MultiAppPredictor::predictBatch call — bit-identical to
+ *    per-row predict() by the engine's construction. Batches form only
+ *    from requests that arrive while a batch is in flight, which is
+ *    the only time batching saves anything, and the worker keeps that
+ *    backlog off the submitting (transport reader) threads.
  *  - Deadlines. A job whose deadline passes while it waits behind a
  *    busy worker is answered "deadline_expired" at flush time rather
  *    than predicted late.
@@ -26,8 +34,9 @@
  *    factory (typically a warm artifact-cache load) OUTSIDE any lock,
  *    then atomically swaps the served shared_ptr; in-flight batches
  *    finish on the epoch they started with.
- *  - Graceful drain. drain() stops admission, lets the worker answer
- *    everything already queued, and joins it. The destructor drains.
+ *  - Graceful drain. drain() stops admission, waits for an in-flight
+ *    inline answer, lets the worker answer everything already queued,
+ *    and joins it. The destructor drains.
  *
  * Observability (default registry): counters serve.requests,
  * serve.predictions, serve.batches, serve.rejected_full,
@@ -111,11 +120,17 @@ class PredictionService
 
     /**
      * Submit one job of 1..n query rows. Thread-safe. The callback is
-     * invoked exactly once: synchronously (on this thread) when the
-     * job is rejected — queue full, empty job, or draining — else on
-     * the batch worker after its batch flushes. @p deadlineMs of 0
-     * applies options().defaultDeadlineMs.
-     * @return true when the job was admitted to the queue.
+     * invoked exactly once, and may run on the submitting thread:
+     *  - synchronously when the job is rejected (queue full, empty
+     *    job, or draining);
+     *  - synchronously, before submit() returns, when the service is
+     *    idle (empty queue, no batch in flight): the job is answered
+     *    on this thread;
+     *  - otherwise on the batch worker after its batch flushes.
+     * A callback may resubmit (the new job queues for the worker) but
+     * must not block on a later job's answer or call drain().
+     * @p deadlineMs of 0 applies options().defaultDeadlineMs.
+     * @return true when the job was admitted (answered or queued).
      */
     bool submit(std::vector<predictor::BagQuery> queries,
                 double deadlineMs, JobCallback done);
@@ -128,8 +143,8 @@ class PredictionService
      */
     std::uint64_t reload();
 
-    /** Stop admission, answer everything queued, join the worker.
-     *  Idempotent. */
+    /** Stop admission, wait for an in-flight inline answer, answer
+     *  everything queued, join the worker. Idempotent. */
     void drain();
 
     /** True once drain() began (new submissions are refused). */
@@ -174,6 +189,7 @@ class PredictionService
     std::condition_variable queueCv_;
     std::deque<Job> queue_;
     std::size_t queuedRows_ = 0;
+    bool busy_ = false;  ///< a batch is in flight (inline or worker)
     bool draining_ = false;
 
     // Instruments resolved once (updates are lock-free atomics).

@@ -1,8 +1,9 @@
 /**
  * @file
  * The resident prediction service end to end: batched answers
- * bit-identical to direct predict() calls, an idle worker that answers
- * at once, one flush for jobs queued behind a busy worker,
+ * bit-identical to direct predict() calls, an idle service that answers
+ * on the submitting thread, one flush for jobs queued behind a busy
+ * worker, drain and resubmission around an inline answer,
  * bounded-queue admission control, per-request deadlines, atomic hot
  * reload under load, the JSONL protocol codec, and concurrent clients
  * hammering a real Unix-domain socket. Runs under `ctest -L parallel`
@@ -137,11 +138,13 @@ struct ResultSink
 };
 
 /**
- * Holds the batch worker busy so later jobs queue behind it. The
- * constructor submits one job whose callback blocks until release()
- * and returns once the worker is inside that callback. Declare it
- * after the service: its destructor releases the worker, so the
- * service's drain never waits on it.
+ * Holds the service busy so later jobs queue behind it. The
+ * constructor submits, from a thread of its own, one job whose callback
+ * blocks until release(), and returns once that callback runs. An idle
+ * service answers a job on the submitting thread, so submitting from
+ * the test thread would block the test itself. Declare it after the
+ * service: its destructor releases the callback and joins its thread,
+ * so the service's drain never waits on it.
  */
 class BusyWorker
 {
@@ -149,18 +152,24 @@ class BusyWorker
     explicit BusyWorker(PredictionService& service)
         : gate_(std::make_shared<Gate>())
     {
-        EXPECT_TRUE(service.submit(
-            randomQueries(7, 1), 0.0, [gate = gate_](JobResult) {
-                std::unique_lock<std::mutex> lock(gate->mutex);
-                gate->entered = true;
-                gate->cv.notify_all();
-                gate->cv.wait(lock, [&] { return gate->released; });
-            }));
+        submitter_ = std::thread([&service, gate = gate_] {
+            EXPECT_TRUE(service.submit(
+                randomQueries(7, 1), 0.0, [gate](JobResult) {
+                    std::unique_lock<std::mutex> lock(gate->mutex);
+                    gate->entered = true;
+                    gate->cv.notify_all();
+                    gate->cv.wait(lock, [&] { return gate->released; });
+                }));
+        });
         std::unique_lock<std::mutex> lock(gate_->mutex);
         gate_->cv.wait(lock, [&] { return gate_->entered; });
     }
 
-    ~BusyWorker() { release(); }
+    ~BusyWorker()
+    {
+        release();
+        submitter_.join();
+    }
 
     BusyWorker(const BusyWorker&) = delete;
     BusyWorker& operator=(const BusyWorker&) = delete;
@@ -185,6 +194,7 @@ class BusyWorker
         bool released = false;
     };
     std::shared_ptr<Gate> gate_;
+    std::thread submitter_;
 };
 
 // ---------------------------------------------------------------------------
@@ -265,6 +275,100 @@ TEST(PredictionService, IdleServiceAnswersWithoutWaiting)
     }
     std::nth_element(waits.begin(), waits.begin() + 10, waits.end());
     EXPECT_LT(waits[10], 1000.0) << "median queue wait in us";
+}
+
+TEST(PredictionService, IdleServiceAnswersOnTheSubmittingThread)
+{
+    PredictionService service(trainModel(13));
+    const auto queries = randomQueries(14, 1);
+    std::thread::id answeredOn;
+    bool answered = false;
+    ASSERT_TRUE(service.submit(queries, 0.0, [&](JobResult r) {
+        EXPECT_TRUE(r.ok) << r.error;
+        answeredOn = std::this_thread::get_id();
+        answered = true;
+    }));
+    // Answered before submit() returned, on this thread.
+    EXPECT_TRUE(answered);
+    EXPECT_EQ(answeredOn, std::this_thread::get_id());
+}
+
+TEST(PredictionService, DrainWaitsForAnInlineAnswer)
+{
+    PredictionService service(trainModel(19));
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+    std::atomic<bool> callbackDone{false};
+    // Answered inline on the submitter's thread; the callback parks
+    // until released, then takes a little longer to return.
+    std::thread submitter([&] {
+        EXPECT_TRUE(service.submit(
+            randomQueries(20, 1), 0.0, [&](JobResult r) {
+                EXPECT_TRUE(r.ok) << r.error;
+                {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    entered = true;
+                    cv.notify_all();
+                    cv.wait(lock, [&] { return released; });
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                callbackDone.store(true);
+            }));
+    });
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return entered; });
+    }
+    EXPECT_EQ(service.queuedRows(), 0u) << "answered inline, not queued";
+
+    std::atomic<bool> drained{false};
+    std::thread drainer([&] {
+        service.drain();
+        EXPECT_TRUE(callbackDone.load()) << "drain() returned mid-answer";
+        drained.store(true);
+    });
+    while (!service.draining())
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(drained.load());
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        released = true;
+    }
+    cv.notify_all();
+    drainer.join();
+    submitter.join();
+    EXPECT_TRUE(drained.load());
+}
+
+TEST(PredictionService, ResubmitFromAnInlineCallbackQueues)
+{
+    const auto model = trainModel(23);
+    PredictionService service(model);
+    const auto first = randomQueries(24, 1);
+    const auto second = randomQueries(25, 1);
+    ResultSink sink(2);
+    std::thread::id secondAnsweredOn;
+    const auto caller = std::this_thread::get_id();
+    ASSERT_TRUE(service.submit(first, 0.0, [&](JobResult r) {
+        sink.slot(0)(std::move(r));
+        // Still inside the inline answer: this job must queue for the
+        // worker, not run nested here or wait for this callback.
+        EXPECT_TRUE(service.submit(second, 0.0, [&](JobResult r2) {
+            secondAnsweredOn = std::this_thread::get_id();
+            sink.slot(1)(std::move(r2));
+        }));
+    }));
+    sink.waitFor(2);
+    service.drain();
+    ASSERT_TRUE(sink.results[0].ok) << sink.results[0].error;
+    ASSERT_TRUE(sink.results[1].ok) << sink.results[1].error;
+    EXPECT_EQ(sink.results[1].predictedSeconds[0],
+              model->predict(second[0].a, second[0].b,
+                             second[0].fairness));
+    EXPECT_NE(secondAnsweredOn, caller) << "the worker answers it";
 }
 
 TEST(PredictionService, JobsQueuedBehindABusyWorkerFlushTogether)
