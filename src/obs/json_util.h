@@ -1,13 +1,13 @@
 /**
  * @file
  * Minimal JSON string/number formatting shared by the metrics and trace
- * exporters. Writing only — the observability layer emits JSON for
- * external viewers (Perfetto, dashboards) but never parses it.
+ * exporters and the serve responses: the one JSON number writer.
  */
 
 #ifndef MAPP_OBS_JSON_UTIL_H
 #define MAPP_OBS_JSON_UTIL_H
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -64,9 +64,13 @@ appendJsonNumber(std::string& out, double v)
         out += "null";
         return;
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
+    // to_chars with chars_format::general and precision 17 prints
+    // exactly what printf's "%.17g" does, without the locale and
+    // format-string overhead.
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                  std::chars_format::general, 17)
+                        .ptr);
 }
 
 }  // namespace mapp::obs

@@ -2,11 +2,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <set>
 
 #include "common/file_io.h"
+#include "obs/json_util.h"
 
 namespace mapp::obs {
 
@@ -24,9 +24,9 @@ promNumber(double v)
         return "NaN";
     if (std::isinf(v))
         return v > 0 ? "+Inf" : "-Inf";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
 }
 
 }  // namespace

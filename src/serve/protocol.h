@@ -92,10 +92,12 @@ struct Request
 };
 
 /**
- * Parse one request line. Malformed JSON, an unknown op, a bad member
- * spec or a raw query with missing/non-finite fields all return a
- * located ErrorCode::Parse/InvalidArgument error — the transport turns
- * it into an "ok": false response instead of dropping the connection.
+ * Parse one request line in a single pass, straight into the Request
+ * (no JSON DOM; unknown members are checked and skipped, a repeated
+ * member keeps its first value). Malformed JSON, an unknown op, a bad
+ * member spec or a raw query with missing/non-finite fields all return
+ * a located ErrorCode::Parse error — the transport turns it into an
+ * "ok": false response instead of dropping the connection.
  */
 Result<Request> parseRequest(std::string_view line,
                              const std::string& source_label = "client");
