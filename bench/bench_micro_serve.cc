@@ -8,14 +8,22 @@
  * (bench.serve.* gauges) so the serving path's perf trajectory is
  * measured, not asserted.
  *
+ * The wire path is timed too: serve::parseRequest on a raw predict, a
+ * 16-query predict_batch and a member-form predict (next to the DOM
+ * walk it replaced, tests/serve_reference.h, in the same process),
+ * predictResponse, and submit-to-callback on an idle service
+ * (bench.serve.parse_ns_*, format_ns, idle_latency_us).
+ *
  * Flags:
  *   --iters=<n>  per-configuration row budget (default 400; the
  *                bench_smoke ctest entry passes a tiny value so the
  *                whole path is compile- and run-checked in tier 1).
  *                The direct floor always times at least kFloorCalls
- *                calls, so it is never noise.
+ *                calls, so it is never noise; each wire-path case
+ *                runs for at least kWireSeconds.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -30,9 +38,12 @@
 #include "common/parse.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "predictor/predictor.h"
+#include "serve/protocol.h"
 #include "serve/service.h"
+#include "tests/serve_reference.h"
 
 using namespace mapp;
 
@@ -113,7 +124,7 @@ constexpr long kFloorCalls = 100000;
  * Closed-loop load: @p clients threads each submit one single-row job
  * at a time and wait for its answer before the next — the shape a
  * resident service actually sees. Batches form only from jobs that
- * arrive while the worker is busy, so the mean batch size shows how
+ * arrive while a batch is in flight, so the mean batch size shows how
  * much the clients overlap.
  */
 ConfigResult
@@ -197,6 +208,147 @@ setGauge(const std::string& key, double value)
     obs::defaultRegistry().gauge(key).set(value);
 }
 
+/** Shortest time each wire-path case runs. */
+constexpr double kWireSeconds = 0.05;
+
+/** Mean ns per @p call over at least kWireSeconds and @p minCalls. */
+template <typename Call>
+double
+nsPerCall(long minCalls, const Call& call)
+{
+    long calls = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    double elapsed = 0.0;
+    while (calls < minCalls || elapsed < kWireSeconds) {
+        for (int i = 0; i < 16; ++i)
+            call();
+        calls += 16;
+        elapsed = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    }
+    return 1e9 * elapsed / static_cast<double>(calls);
+}
+
+/** A raw feature object as a client would send it. */
+std::string
+rawAppJson(const predictor::AppFeatures& app)
+{
+    std::string out = "{\"cpu_time\":";
+    obs::appendJsonNumber(out, app.cpuTime);
+    out += ",\"gpu_time\":";
+    obs::appendJsonNumber(out, app.gpuTime);
+    out += ",\"mix\":[";
+    for (std::size_t i = 0; i < app.mixPercent.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        obs::appendJsonNumber(out, app.mixPercent[i]);
+    }
+    return out + "]}";
+}
+
+std::string
+rawQueryJson(const predictor::BagQuery& query)
+{
+    std::string out = "\"a\":" + rawAppJson(query.a) +
+                      ",\"b\":" + rawAppJson(query.b) + ",\"fairness\":";
+    obs::appendJsonNumber(out, query.fairness);
+    return out;
+}
+
+/**
+ * The wire path around the model: request parsing (new reader and the
+ * DOM walk it replaced), response formatting and an idle service's
+ * submit-to-callback latency.
+ */
+void
+runWirePath(const std::shared_ptr<const predictor::MultiAppPredictor>&
+                model,
+            const std::vector<predictor::BagQuery>& queries, long iters)
+{
+    const std::string raw = R"({"op":"predict","id":"r1",)" +
+                            rawQueryJson(queries[0]) + "}";
+    std::string batch16 = R"({"op":"predict_batch","id":"b1","queries":[)";
+    for (std::size_t i = 0; i < 16; ++i)
+        batch16 += (i > 0 ? ",{" : "{") + rawQueryJson(queries[i]) + "}";
+    batch16 += "]}";
+    const std::string member =
+        R"({"op":"predict","id":"m1","a":"SIFT@40","b":"FAST@20"})";
+
+    TextTable table("serve wire path (ns per call)");
+    table.setHeader({"case", "bytes", "reader ns", "DOM walk ns"});
+    const std::pair<const char*, const std::string*> cases[] = {
+        {"raw", &raw}, {"batch16", &batch16}, {"member", &member}};
+    for (const auto& [name, line] : cases) {
+        if (const auto r = serve::parseRequest(*line); !r) {
+            std::fprintf(stderr, "FATAL: bench line rejected: %s\n",
+                         r.error().toString().c_str());
+            std::abort();
+        }
+        const double readerNs = nsPerCall(iters, [&] {
+            const auto r = serve::parseRequest(*line);
+            if (!r)
+                std::abort();
+        });
+        const double domNs = nsPerCall(iters, [&] {
+            const auto r = serve::reference::parseRequest(*line);
+            if (!r)
+                std::abort();
+        });
+        setGauge(std::string("bench.serve.parse_ns_") + name, readerNs);
+        setGauge(std::string("bench.serve.parse_ns_") + name +
+                     "_reference",
+                 domNs);
+        table.addRow({name, std::to_string(line->size()),
+                      formatDouble(readerNs, 0), formatDouble(domNs, 0)});
+    }
+
+    const std::vector<double> one = {0.054494465457786863};
+    const auto format = [&one] {
+        return serve::predictResponse("r1", serve::RequestOp::Predict, one,
+                                      1, 103.05);
+    };
+    const double formatNs = nsPerCall(iters, [&] {
+        if (format().empty())
+            std::abort();
+    });
+    setGauge("bench.serve.format_ns", formatNs);
+    table.addRow({"format", std::to_string(format().size()),
+                  formatDouble(formatNs, 0), "-"});
+    std::printf("%s\n", table.render().c_str());
+
+    // Submit to callback on an idle service, one job at a time: the
+    // answer runs on this thread, so nothing else is timed.
+    serve::PredictionService service(model);
+    const long calls = std::max(iters, 2000L);
+    std::vector<double> latencies;
+    latencies.reserve(static_cast<std::size_t>(calls));
+    for (long i = 0; i < calls; ++i) {
+        const auto& query =
+            queries[static_cast<std::size_t>(i) % queries.size()];
+        std::chrono::steady_clock::time_point answered;
+        const auto sent = std::chrono::steady_clock::now();
+        service.submit({query}, 0.0, [&](serve::JobResult result) {
+            if (!result.ok)
+                std::fprintf(stderr, "FATAL: idle job failed: %s\n",
+                             result.error.c_str());
+            answered = std::chrono::steady_clock::now();
+        });
+        latencies.push_back(
+            std::chrono::duration<double, std::micro>(answered - sent)
+                .count());
+    }
+    std::nth_element(latencies.begin(),
+                     latencies.begin() +
+                         static_cast<std::ptrdiff_t>(latencies.size() / 2),
+                     latencies.end());
+    const double idleUs = latencies[latencies.size() / 2];
+    setGauge("bench.serve.idle_latency_us", idleUs);
+    std::printf("idle service, submit to callback: %.2f us median over "
+                "%ld jobs\n\n",
+                idleUs, calls);
+}
+
 }  // namespace
 
 int
@@ -252,6 +404,8 @@ main(int argc, char** argv)
                 "(single thread, no service)\n\n",
                 directNs);
 
+    runWirePath(model, queries, iters);
+
     const int clientCounts[] = {1, 4, 8, 16};
 
     TextTable table("closed-loop service throughput / latency "
@@ -272,9 +426,9 @@ main(int argc, char** argv)
     }
     std::printf("%s\n", table.render().c_str());
     std::printf(
-        "the worker is work-conserving: an idle worker answers a lone "
-        "request at once, and jobs that arrive while it is busy share "
-        "its next predictBatch call, so batches grow with the number "
-        "of clients that overlap.\n");
+        "an idle service answers a lone request on the client's own "
+        "thread; jobs that arrive while a batch is in flight queue and "
+        "share the worker's next predictBatch call, so batches grow "
+        "with the number of clients that overlap.\n");
     return 0;
 }

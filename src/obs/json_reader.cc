@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "obs/json_util.h"
+
 namespace mapp::obs {
 
 double
@@ -83,9 +85,6 @@ JsonValue::makeObject(
 }
 
 namespace {
-
-/** Deepest value nesting accepted (our sidecars use < 10). */
-constexpr int kMaxDepth = 128;
 
 /** Recursive-descent parser over one document. */
 class Parser
@@ -268,9 +267,9 @@ class Parser
 
     Result<JsonValue> parseValue(int depth)
     {
-        if (depth > kMaxDepth)
+        if (depth > kMaxJsonDepth)
             return fail("nesting deeper than " +
-                        std::to_string(kMaxDepth) + " levels");
+                        std::to_string(kMaxJsonDepth) + " levels");
         skipWhitespace();
         if (pos_ >= text_.size())
             return fail("unexpected end of document");

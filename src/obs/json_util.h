@@ -15,6 +15,10 @@
 
 namespace mapp::obs {
 
+/** Deepest value nesting the JSON readers accept (parseJson and the
+ *  serve request reader); our own documents use fewer than 10. */
+inline constexpr int kMaxJsonDepth = 128;
+
 /** Append @p text as a quoted, escaped JSON string. */
 inline void
 appendJsonString(std::string& out, std::string_view text)

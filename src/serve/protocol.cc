@@ -72,9 +72,6 @@ parseMemberRef(const std::string& text, const std::string& label)
     return member;
 }
 
-/** Deepest value nesting a request may hold (obs::parseJson's bound). */
-constexpr int kMaxDepth = 128;
-
 /** What a schema field held; checked once the whole line is read. */
 enum class Seen : std::uint8_t { Absent, Number, String, Object, Array, Other };
 
@@ -471,9 +468,9 @@ class RequestReader
      *  @p c is the value's first character. */
     bool peekValue(int depth, char& c)
     {
-        if (depth > kMaxDepth)
+        if (depth > obs::kMaxJsonDepth)
             return fail("nesting deeper than " +
-                        std::to_string(kMaxDepth) + " levels");
+                        std::to_string(obs::kMaxJsonDepth) + " levels");
         skipWhitespace();
         if (pos_ >= text_.size())
             return fail("unexpected end of document");
