@@ -3,12 +3,13 @@
  * vision primitives whose bits a trace cannot see (gradient magnitude
  * and orientation, HoG and SIFT descriptors), the Table-IV campaign
  * dataset, the fitted default tree, its 91 predictions, the two
- * headline LOOCV means and the answers the serve front end gives to a
- * fixed list of request lines. A refactor that claims
- * to change no behaviour proves it by leaving every pin green. The
- * suite is registered at MAPP_THREADS=1 and =4 because every figure
- * must be identical at any lane count. A change that moves behaviour
- * on purpose updates the pin here and says why in EXPERIMENTS.md. */
+ * headline LOOCV means, Section V-D's SVR LOOCV mean and the answers
+ * the serve front end gives to a fixed list of request lines. A
+ * refactor that claims to change no behaviour proves it by leaving
+ * every pin green. The suite is registered at MAPP_THREADS=1 and =4
+ * because every figure must be identical at any lane count. A change
+ * that moves behaviour on purpose updates the pin here and says why in
+ * EXPERIMENTS.md. */
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,9 @@
 #include "common/parallel.h"
 #include "isa/trace_binary.h"
 #include "ml/dataset_binary.h"
+#include "ml/metrics.h"
 #include "ml/model_binary.h"
+#include "ml/svr.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
 #include "predictor/schemes.h"
@@ -52,6 +55,9 @@ constexpr std::uint64_t kPredictionsHash = 0x023d091a8b2c14f5ull;
 // Bit patterns of the leave-one-benchmark-out mean relative errors.
 constexpr std::uint64_t kLoocvFullBits = 0x403276645261d52full;    // 18.4625 %
 constexpr std::uint64_t kLoocvInsmixBits = 0x4075f5b281112d89ull;  // 351.356 %
+// Bit pattern of the default SVR's leave-one-benchmark-out mean
+// relative error on the range-normalized full vector (Section V-D).
+constexpr std::uint64_t kSvrLoocvBits = 0x407387995d55b1ccull;  // 312.475 %
 // Hasher digest of the predicted_seconds bits of the serve answers to
 // servedLines(), in id order.
 constexpr std::uint64_t kServeAnswersHash = 0xb884b3044cb16f94ull;
@@ -229,6 +235,35 @@ loocvMean(const predictor::PredictorParams& params)
         .meanRelativeError();
 }
 
+/** bench_svr_vs_dtree's SVR column: per fold, a RangeNormalizer fit on
+ * the training benchmarks' full vector and a default SvrRegressor; the
+ * mean of the per-benchmark mean relative errors. */
+double
+svrLoocvMean()
+{
+    const auto scheme = predictor::fullScheme();
+    double errSum = 0.0;
+    int folds = 0;
+    for (auto id : vision::kAllBenchmarks) {
+        auto [train, test] = predictor::splitOutBenchmark(
+            campaign(), vision::benchmarkName(id));
+        if (train.empty() || test.empty())
+            continue;
+        const auto trainProj = train.selectFeatures(scheme.featureNames());
+        const auto testProj = test.selectFeatures(scheme.featureNames());
+        predictor::RangeNormalizer norm;
+        norm.fit(trainProj);
+        const auto trainNorm = norm.apply(trainProj);
+        const auto testNorm = norm.apply(testProj);
+        ml::SvrRegressor model;
+        model.fit(trainNorm);
+        errSum += ml::meanRelativeErrorPercent(testNorm.targets(),
+                                               model.predict(testNorm));
+        ++folds;
+    }
+    return folds ? errSum / folds : 0.0;
+}
+
 /** @p v in the %.17g spelling the protocol round-trips exactly. */
 std::string
 exact(double v)
@@ -392,6 +427,13 @@ TEST(Golden, LoocvInsmixMean)
     const double mean = loocvMean(insmix);
     EXPECT_EQ(hex(kLoocvInsmixBits),
               hex(std::bit_cast<std::uint64_t>(mean)))
+        << "mean " << mean;
+}
+
+TEST(Golden, SvrLoocvMean)
+{
+    const double mean = svrLoocvMean();
+    EXPECT_EQ(hex(kSvrLoocvBits), hex(std::bit_cast<std::uint64_t>(mean)))
         << "mean " << mean;
 }
 
