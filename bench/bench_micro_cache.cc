@@ -27,6 +27,7 @@
 
 #include "bench/harness.h"
 #include "cache/artifact_cache.h"
+#include "common/file_io.h"
 #include "common/parse.h"
 #include "common/table.h"
 #include "isa/trace_binary.h"
@@ -154,11 +155,18 @@ main(int argc, char** argv)
     const fs::path csvPath = root / "bench_dataset.csv";
     const fs::path binPath = root / "bench_dataset.bin";
     ml::writeDatasetFile(data, csvPath.string());
-    ml::writeDatasetBinaryFile(data, binPath.string());
+    if (!writeFileAtomic(binPath.string(), dataBlob)) {
+        std::fprintf(stderr, "error: cannot write %s\n",
+                     binPath.c_str());
+        return 1;
+    }
     const double datasetCsv = secondsFor(
         [&] { (void)ml::readDatasetFile(csvPath.string()); }, iters);
     const double datasetBin = secondsFor(
-        [&] { (void)ml::readDatasetBinaryFile(binPath.string()); },
+        [&] {
+            (void)ml::datasetFromBinary(readWholeFile(binPath.string()),
+                                        binPath.string());
+        },
         iters);
 
     // --- model: tree fit vs. binary reload of the fitted tree ---

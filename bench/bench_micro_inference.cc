@@ -1,8 +1,8 @@
 /**
  * @file
  * The inference-engine microbench: single-sample latency and batch
- * throughput of tree/forest prediction on the fig4 campaign dataset,
- * seed-style per-row node walk vs. the compiled SoA engines. Every
+ * throughput of tree prediction on the fig4 campaign dataset, seed-
+ * style per-row node walk vs. the compiled SoA engine. Every
  * number lands in the metrics sidecar (bench.inference.* gauges) so
  * the perf trajectory of the serving path is measured, not asserted.
  *
@@ -29,16 +29,12 @@
 #include "common/parallel.h"
 #include "common/parse.h"
 #include "ml/compiled_tree.h"
-#include "ml/random_forest.h"
 #include "obs/audit.h"
 #include "predictor/predictor.h"
 
 using namespace mapp;
 
 namespace {
-
-/** Trees in the benchmark forest (the acceptance target's size). */
-constexpr int kForestSize = 50;
 
 /** Rows in the replicated "serving-scale" batch. */
 constexpr std::size_t kServingRows = 8192;
@@ -116,12 +112,6 @@ main(int argc, char** argv)
     tree.fit(raw);
     const ml::CompiledTree compiledTree(tree);
 
-    ml::RandomForestParams fp;
-    fp.numTrees = kForestSize;
-    ml::RandomForestRegressor forest(fp);
-    forest.fit(raw);
-    const ml::CompiledForest compiledForest(forest);
-
     // Flat row-major buffers: the campaign batch and a replicated
     // serving-scale batch (the campaign tiled to kServingRows rows).
     const auto flat = raw.toRowMajor();
@@ -136,14 +126,11 @@ main(int argc, char** argv)
                                 : flat.begin() + static_cast<long>(want));
     }
 
-    // Correctness gate first: the compiled engines must agree with
-    // the node-walk oracle on every campaign row before any timing
-    // is worth reporting.
+    // Correctness gate first: the compiled engine must agree with the
+    // node-walk oracle on every campaign row before any timing is
+    // worth reporting.
     {
-        const auto treeOracle = tree.predict(raw);
-        const auto forestOracle = forest.predict(raw);
-        if (compiledTree.predict(raw) != treeOracle ||
-            compiledForest.predict(raw) != forestOracle) {
+        if (compiledTree.predict(raw) != tree.predict(raw)) {
             std::fprintf(stderr,
                          "FATAL: compiled predictions diverge from the "
                          "node-walk oracle\n");
@@ -170,31 +157,10 @@ main(int argc, char** argv)
                 out[i] = compiledTree.predict(raw.row(i));
         },
         singleReps);
-    const double forestSingleRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = forest.predict(raw.row(i));
-        },
-        singleReps);
-    const double forestSingleCompiled = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = compiledForest.predict(raw.row(i));
-        },
-        singleReps);
 
     // --- batch throughput on the campaign dataset ---
-    // The reference is the seed shape: every row re-walks the whole
-    // ensemble through the pointer-heavy nodes.
-    const double forestBatchRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = forest.predict(raw.row(i));
-        },
-        batchReps);
-    const double forestBatchCompiled = secondsFor(
-        [&] { compiledForest.predictBatch(flat, nFeatures, out); },
-        batchReps);
+    // The reference is the seed shape: every row walks the
+    // pointer-heavy nodes one at a time.
     const double treeBatchRef = secondsFor(
         [&] {
             for (std::size_t i = 0; i < nRows; ++i)
@@ -205,18 +171,18 @@ main(int argc, char** argv)
         [&] { compiledTree.predictBatch(flat, nFeatures, out); },
         batchReps);
 
-    // --- serving-scale batch (campaign tiled to kServingRows) ---
+    // --- serving-scale batch (campaign tiled to kServingRows, so the
+    // batch splits into several parallel chunks) ---
     const double servingRef = secondsFor(
         [&] {
             for (std::size_t i = 0; i < kServingRows; ++i)
-                servingOut[i] = forest.predict(std::span<const double>(
+                servingOut[i] = tree.predict(std::span<const double>(
                     servingFlat.data() + i * nFeatures, nFeatures));
         },
         servingReps);
     const double servingCompiled = secondsFor(
         [&] {
-            compiledForest.predictBatch(servingFlat, nFeatures,
-                                        servingOut);
+            compiledTree.predictBatch(servingFlat, nFeatures, servingOut);
         },
         servingReps);
 
@@ -236,20 +202,12 @@ main(int argc, char** argv)
         {"tree single-sample", perPredNs(treeSingleRef, singleReps, nRows),
          perPredNs(treeSingleCompiled, singleReps, nRows),
          "tree.single"},
-        {"forest(50) single-sample",
-         perPredNs(forestSingleRef, singleReps, nRows),
-         perPredNs(forestSingleCompiled, singleReps, nRows),
-         "forest.single"},
         {"tree batch(91)", perPredNs(treeBatchRef, batchReps, nRows),
          perPredNs(treeBatchCompiled, batchReps, nRows), "tree.batch"},
-        {"forest(50) batch(91)",
-         perPredNs(forestBatchRef, batchReps, nRows),
-         perPredNs(forestBatchCompiled, batchReps, nRows),
-         "forest.batch"},
-        {"forest(50) batch(8192)",
+        {"tree batch(8192)",
          perPredNs(servingRef, servingReps, kServingRows),
          perPredNs(servingCompiled, servingReps, kServingRows),
-         "forest.serving"},
+         "tree.serving"},
     };
 
     TextTable table("inference latency / throughput (" +
@@ -273,13 +231,6 @@ main(int argc, char** argv)
         setGauge(prefix + ".compiled_preds_per_sec", pps);
     }
     std::printf("%s\n", table.render().c_str());
-
-    const double target = perPredNs(forestBatchRef, batchReps, nRows) /
-                          perPredNs(forestBatchCompiled, batchReps,
-                                    nRows);
-    std::printf("forest(%d) campaign batch speedup: %.2fx "
-                "(acceptance target: >= 5x)\n",
-                kForestSize, target);
 
     // --- audit overhead: the full predictDataset serving path with
     // the provenance log off vs. on at 1% sampling (the production

@@ -15,7 +15,6 @@
 #include "ml/compiled_tree.h"
 #include "ml/decision_tree.h"
 #include "ml/linear_regression.h"
-#include "ml/random_forest.h"
 #include "ml/svr.h"
 #include "vision/registry.h"
 
@@ -88,42 +87,6 @@ BM_CompiledTreePredictBatch(benchmark::State& state)
                             static_cast<std::int64_t>(d.size()));
 }
 BENCHMARK(BM_CompiledTreePredictBatch);
-
-void
-BM_ForestPredictPerRow(benchmark::State& state)
-{
-    const auto d = syntheticDataset(500, 23);
-    ml::RandomForestParams params;
-    params.numTrees = static_cast<int>(state.range(0));
-    ml::RandomForestRegressor forest(params);
-    forest.fit(d);
-    for (auto _ : state)
-        for (std::size_t i = 0; i < d.size(); ++i)
-            benchmark::DoNotOptimize(forest.predict(d.row(i)));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(d.size()));
-}
-BENCHMARK(BM_ForestPredictPerRow)->Arg(50);
-
-void
-BM_CompiledForestPredictBatch(benchmark::State& state)
-{
-    const auto d = syntheticDataset(500, 23);
-    ml::RandomForestParams params;
-    params.numTrees = static_cast<int>(state.range(0));
-    ml::RandomForestRegressor forest(params);
-    forest.fit(d);
-    const ml::CompiledForest compiled(forest);
-    const auto flat = d.toRowMajor();
-    std::vector<double> out(d.size());
-    for (auto _ : state) {
-        compiled.predictBatch(flat, d.numFeatures(), out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(d.size()));
-}
-BENCHMARK(BM_CompiledForestPredictBatch)->Arg(50);
 
 void
 BM_SvrFit(benchmark::State& state)

@@ -163,6 +163,19 @@ BinaryReader::i32()
     return static_cast<std::int32_t>(u32());
 }
 
+std::uint64_t
+BinaryReader::count(std::size_t min_element_bytes)
+{
+    const std::size_t at = pos_;
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_element_bytes)
+        fail("count " + std::to_string(n) + " at byte " +
+             std::to_string(at) + " exceeds the payload (" +
+             std::to_string(remaining()) + " bytes left, " +
+             std::to_string(min_element_bytes) + " per element)");
+    return n;
+}
+
 double
 BinaryReader::f64()
 {

@@ -23,6 +23,10 @@
 
 namespace mapp::cache {
 
+/** Bytes of a str() field's length prefix: the fewest bytes any string
+ * encodes in (what BinaryReader::count needs for a list of names). */
+inline constexpr std::size_t kMinStrBytes = 8;
+
 /** Serializes one artifact blob: header, fields, trailing checksum. */
 class BinaryWriter
 {
@@ -73,6 +77,17 @@ class BinaryReader
     std::int32_t i32();
     double f64();
     std::string str();
+
+    /**
+     * Read a u64 element count and check it against the payload left.
+     * Call it for every count a loop or a reserve() will trust.
+     * @param min_element_bytes the fewest bytes one element encodes in
+     *        (positive)
+     * @throws mapp::InputError when count × @p min_element_bytes
+     *         exceeds remaining(), so a crafted count can never size an
+     *         allocation the blob could not fill.
+     */
+    std::uint64_t count(std::size_t min_element_bytes);
 
     /** Bytes of payload not yet consumed. */
     std::size_t remaining() const { return end_ - pos_; }

@@ -1,10 +1,10 @@
 #include "common/csv.h"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/parse.h"
 
 namespace mapp {
@@ -173,14 +173,7 @@ parseCsv(const std::string& text, std::string source)
 CsvTable
 readCsvFile(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return parseCsv(ss.str(), path);
+    return parseCsv(readWholeFile(path), path);
 }
 
 std::string

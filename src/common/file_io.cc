@@ -4,7 +4,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <unistd.h>
+
+#include "common/error.h"
 
 namespace fs = std::filesystem;
 
@@ -46,6 +49,19 @@ writeFileAtomic(const std::string& path, std::string_view contents)
         return false;
     }
     return true;
+}
+
+std::string
+readWholeFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    if (in.bad())
+        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
+    return std::move(ss).str();
 }
 
 }  // namespace mapp

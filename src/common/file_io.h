@@ -1,6 +1,7 @@
 /**
  * @file
- * Crash-safe file output shared by every sidecar/artifact writer.
+ * Crash-safe file output shared by every sidecar/artifact writer, and
+ * the whole-file read every throwing file loader shares.
  *
  * A plain `std::ofstream out(path)` truncates the target immediately,
  * so an interrupt (Ctrl-C), a crash or `kill -9` mid-write leaves a
@@ -34,6 +35,13 @@ namespace mapp {
  * @return true when the target now holds @p contents.
  */
 bool writeFileAtomic(const std::string& path, std::string_view contents);
+
+/**
+ * Read all of @p path, byte for byte.
+ * @throws mapp::InputError (ErrorCode::Io, located at @p path) with
+ *         "cannot open file" or "read failed".
+ */
+std::string readWholeFile(const std::string& path);
 
 }  // namespace mapp
 

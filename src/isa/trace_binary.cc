@@ -1,8 +1,5 @@
 #include "isa/trace_binary.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "cache/binary_io.h"
 #include "common/error.h"
 #include "isa/inst_class.h"
@@ -13,6 +10,12 @@ namespace {
 
 constexpr std::string_view kMagic = "MTRC";
 constexpr std::uint32_t kVersion = 1;
+
+/** Bytes one phase encodes in at the least: its name's length prefix,
+ * one u64 per instruction class, eight 8-byte fields and the
+ * host-staged flag. */
+constexpr std::size_t kMinPhaseBytes =
+    cache::kMinStrBytes + 8 * kNumInstClasses + 8 * 8 + 1;
 
 }  // namespace
 
@@ -54,7 +57,7 @@ traceFromBinary(const std::string& blob, const std::string& source)
                    std::to_string(kNumInstClasses) + ", found " +
                    std::to_string(numClasses) + ")",
                {source, 0, ""}});
-    const std::uint64_t phases = r.u64();
+    const std::uint64_t phases = r.count(kMinPhaseBytes);
     WorkloadTrace trace(app, batch);
     for (std::uint64_t i = 0; i < phases; ++i) {
         KernelPhase p;
@@ -76,31 +79,6 @@ traceFromBinary(const std::string& blob, const std::string& source)
     }
     r.expectEnd();
     return trace;
-}
-
-void
-writeTraceBinaryFile(const WorkloadTrace& trace, const std::string& path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        raise({ErrorCode::Io, "cannot open for writing", {path, 0, ""}});
-    const std::string blob = traceToBinary(trace);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out)
-        raise({ErrorCode::Io, "write failed", {path, 0, ""}});
-}
-
-WorkloadTrace
-readTraceBinaryFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return traceFromBinary(ss.str(), path);
 }
 
 }  // namespace mapp::isa

@@ -31,13 +31,6 @@ std::string traceToBinary(const WorkloadTrace& trace);
 WorkloadTrace traceFromBinary(const std::string& blob,
                               const std::string& source = "");
 
-/** Write a trace to a binary file. @throws InputError on I/O failure. */
-void writeTraceBinaryFile(const WorkloadTrace& trace,
-                          const std::string& path);
-
-/** Read a binary trace file. @throws InputError on I/O or parse failure. */
-WorkloadTrace readTraceBinaryFile(const std::string& path);
-
 }  // namespace mapp::isa
 
 #endif  // MAPP_ISA_TRACE_BINARY_H

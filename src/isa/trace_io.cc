@@ -1,6 +1,5 @@
 #include "isa/trace_io.h"
 
-#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -147,14 +146,7 @@ writeTraceFile(const WorkloadTrace& trace, const std::string& path)
 WorkloadTrace
 readTraceFile(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return traceFromCsv(ss.str(), path);
+    return traceFromCsv(readWholeFile(path), path);
 }
 
 }  // namespace mapp::isa

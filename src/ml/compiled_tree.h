@@ -1,13 +1,12 @@
 /**
  * @file
- * The compiled batch-inference engine: CompiledTree/CompiledForest
- * flatten a trained DecisionTreeRegressor/RandomForestRegressor into
- * contiguous structure-of-arrays node storage for cache-friendly,
- * allocation-free traversal, plus a batched predictBatch() that walks
- * blocks of samples through the flat arrays and dispatches large
- * batches over the parallel execution layer.
+ * The compiled batch-inference engine: CompiledTree flattens a trained
+ * DecisionTreeRegressor into contiguous structure-of-arrays node
+ * storage for cache-friendly, allocation-free traversal, plus a batched
+ * predictBatch() that walks blocks of samples through the flat arrays
+ * and dispatches large batches over the parallel execution layer.
  *
- * Node layout (one slot per node, root at index 0 of each tree):
+ * Node layout (one slot per node, root at index 0):
  *  - feature[i]   int32  feature tested at node i (0 for leaves)
  *  - threshold[i] double split threshold — or, at a leaf, the LEAF
  *                        VALUE (the sentinel encoding: a leaf never
@@ -31,10 +30,8 @@
  * Compiled predictions are bit-identical to the node-walk reference:
  * the traversal evaluates exactly the same x[feature] <= threshold
  * comparisons on the same doubles (NaN fails <= and routes right in
- * both), and CompiledForest accumulates per-row tree sums in tree
- * order before the same final division. The node walk in
- * DecisionTreeRegressor stays as the oracle; tests/test_inference.cc
- * fuzzes the equivalence.
+ * both). The node walk in DecisionTreeRegressor stays as the oracle;
+ * tests/test_inference.cc fuzzes the equivalence.
  */
 
 #ifndef MAPP_ML_COMPILED_TREE_H
@@ -45,7 +42,6 @@
 #include <vector>
 
 #include "ml/decision_tree.h"
-#include "ml/random_forest.h"
 
 namespace mapp::ml {
 
@@ -96,51 +92,6 @@ class CompiledTree
     std::vector<double> threshold_;
     std::vector<std::int32_t> kids_;  ///< interleaved [left,right]
     int steps_ = 0;
-};
-
-/**
- * A RandomForestRegressor flattened into ONE set of SoA node arrays
- * (trees concatenated, per-tree root offsets), predicting the mean
- * over trees exactly like the reference ensemble.
- */
-class CompiledForest
-{
-  public:
-    CompiledForest() = default;
-
-    /** Flatten @p forest. @throws FatalError if untrained. */
-    explicit CompiledForest(const RandomForestRegressor& forest);
-
-    bool compiled() const { return !roots_.empty(); }
-    std::size_t treeCount() const { return roots_.size(); }
-    std::size_t nodeCount() const { return feature_.size(); }
-
-    /** Predict one sample (mean over trees, tree order). */
-    double predict(std::span<const double> x) const;
-
-    /**
-     * Per-tree votes for one sample: votes[t] is tree t's leaf value,
-     * resized to treeCount(). The ensemble prediction is their mean
-     * (summed in tree order — identical to predict()), returned so
-     * audit hooks get prediction + vote spread in one walk.
-     */
-    double predictVotes(std::span<const double> x,
-                        std::vector<double>& votes) const;
-
-    /** Batched prediction; same contract as CompiledTree. */
-    void predictBatch(std::span<const double> rowMajor,
-                      std::size_t nFeatures,
-                      std::span<double> out) const;
-
-    /** Predict every row of a dataset (flatten once, then batch). */
-    std::vector<double> predict(const Dataset& data) const;
-
-  private:
-    std::vector<std::int32_t> feature_;
-    std::vector<double> threshold_;
-    std::vector<std::int32_t> kids_;  ///< interleaved [left,right]
-    std::vector<std::int32_t> roots_;  ///< root node index per tree
-    std::vector<int> steps_;           ///< per-tree depth
 };
 
 }  // namespace mapp::ml

@@ -1,10 +1,6 @@
 #include "ml/dataset_binary.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "cache/binary_io.h"
-#include "common/error.h"
 
 namespace mapp::ml {
 
@@ -36,13 +32,15 @@ Dataset
 datasetFromBinary(const std::string& blob, const std::string& source)
 {
     cache::BinaryReader r(blob, source, kMagic, kVersion);
-    const std::uint64_t numFeatures = r.u64();
+    const std::uint64_t numFeatures = r.count(cache::kMinStrBytes);
     std::vector<std::string> names;
     names.reserve(numFeatures);
     for (std::uint64_t k = 0; k < numFeatures; ++k)
         names.push_back(r.str());
     Dataset data(std::move(names));
-    const std::uint64_t rows = r.u64();
+    // A row: its features and target (8 bytes each), then its group.
+    const std::uint64_t rows =
+        r.count((numFeatures + 1) * 8 + cache::kMinStrBytes);
     for (std::uint64_t i = 0; i < rows; ++i) {
         std::vector<double> row(numFeatures);
         for (std::uint64_t k = 0; k < numFeatures; ++k)
@@ -55,31 +53,6 @@ datasetFromBinary(const std::string& blob, const std::string& source)
     }
     r.expectEnd();
     return data;
-}
-
-void
-writeDatasetBinaryFile(const Dataset& data, const std::string& path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        raise({ErrorCode::Io, "cannot open for writing", {path, 0, ""}});
-    const std::string blob = datasetToBinary(data);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out)
-        raise({ErrorCode::Io, "write failed", {path, 0, ""}});
-}
-
-Dataset
-readDatasetBinaryFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return datasetFromBinary(ss.str(), path);
 }
 
 void

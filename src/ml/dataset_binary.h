@@ -31,12 +31,6 @@ std::string datasetToBinary(const Dataset& data);
 Dataset datasetFromBinary(const std::string& blob,
                           const std::string& source = "");
 
-/** Write a dataset to a binary file. @throws InputError on I/O failure. */
-void writeDatasetBinaryFile(const Dataset& data, const std::string& path);
-
-/** Read a binary dataset file. @throws InputError on failure. */
-Dataset readDatasetBinaryFile(const std::string& path);
-
 /**
  * Fold a dataset's full content (names, rows, targets, groups) into a
  * cache-key hasher — the content-addressing step for artifacts derived

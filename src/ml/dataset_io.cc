@@ -1,6 +1,5 @@
 #include "ml/dataset_io.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/csv.h"
@@ -96,14 +95,7 @@ writeDatasetFile(const Dataset& data, const std::string& path)
 Dataset
 readDatasetFile(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return datasetFromCsv(ss.str(), path);
+    return datasetFromCsv(readWholeFile(path), path);
 }
 
 }  // namespace mapp::ml

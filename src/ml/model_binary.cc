@@ -1,10 +1,6 @@
 #include "ml/model_binary.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "cache/binary_io.h"
-#include "common/error.h"
 #include "common/log.h"
 
 namespace mapp::ml {
@@ -13,12 +9,19 @@ namespace {
 
 constexpr std::string_view kTreeMagic = "MMDL";
 constexpr std::uint32_t kTreeVersion = 1;
-constexpr std::string_view kForestMagic = "MFRT";
-constexpr std::uint32_t kForestVersion = 1;
 
-void
-writeTreeBody(cache::BinaryWriter& w, const DecisionTreeRegressor& tree)
+/** Bytes one node encodes in: leaf flag, feature, threshold, value,
+ * sse, samples, left, right. */
+constexpr std::size_t kNodeBytes = 1 + 4 + 8 + 8 + 8 + 4 + 4 + 4;
+
+}  // namespace
+
+std::string
+treeToBinary(const DecisionTreeRegressor& tree)
 {
+    if (!tree.trained())
+        fatal("treeToBinary: model not trained");
+    cache::BinaryWriter w(kTreeMagic, kTreeVersion);
     const auto& p = tree.params();
     w.i32(p.maxDepth);
     w.i32(p.minSamplesSplit);
@@ -39,22 +42,24 @@ writeTreeBody(cache::BinaryWriter& w, const DecisionTreeRegressor& tree)
         w.i32(v.left);
         w.i32(v.right);
     }
+    return std::move(w).finish();
 }
 
 DecisionTreeRegressor
-readTreeBody(cache::BinaryReader& r)
+treeFromBinary(const std::string& blob, const std::string& source)
 {
+    cache::BinaryReader r(blob, source, kTreeMagic, kTreeVersion);
     DecisionTreeParams params;
     params.maxDepth = r.i32();
     params.minSamplesSplit = r.i32();
     params.minSamplesLeaf = r.i32();
     params.minImpurityDecrease = r.f64();
-    const std::uint64_t numNames = r.u64();
+    const std::uint64_t numNames = r.count(cache::kMinStrBytes);
     std::vector<std::string> names;
     names.reserve(numNames);
     for (std::uint64_t k = 0; k < numNames; ++k)
         names.push_back(r.str());
-    const std::uint64_t numNodes = r.u64();
+    const std::uint64_t numNodes = r.count(kNodeBytes);
     std::vector<TreeNodeView> nodes;
     nodes.reserve(numNodes);
     for (std::uint64_t i = 0; i < numNodes; ++i) {
@@ -69,94 +74,10 @@ readTreeBody(cache::BinaryReader& r)
         v.right = r.i32();
         nodes.push_back(v);
     }
-    return DecisionTreeRegressor::fromNodes(nodes, std::move(names),
-                                            params);
-}
-
-}  // namespace
-
-std::string
-treeToBinary(const DecisionTreeRegressor& tree)
-{
-    if (!tree.trained())
-        fatal("treeToBinary: model not trained");
-    cache::BinaryWriter w(kTreeMagic, kTreeVersion);
-    writeTreeBody(w, tree);
-    return std::move(w).finish();
-}
-
-DecisionTreeRegressor
-treeFromBinary(const std::string& blob, const std::string& source)
-{
-    cache::BinaryReader r(blob, source, kTreeMagic, kTreeVersion);
-    DecisionTreeRegressor tree = readTreeBody(r);
+    DecisionTreeRegressor tree =
+        DecisionTreeRegressor::fromNodes(nodes, std::move(names), params);
     r.expectEnd();
     return tree;
-}
-
-std::string
-forestToBinary(const RandomForestRegressor& forest)
-{
-    if (!forest.trained())
-        fatal("forestToBinary: model not trained");
-    const auto& p = forest.params();
-    cache::BinaryWriter w(kForestMagic, kForestVersion);
-    w.i32(p.numTrees);
-    w.i32(p.tree.maxDepth);
-    w.i32(p.tree.minSamplesSplit);
-    w.i32(p.tree.minSamplesLeaf);
-    w.f64(p.tree.minImpurityDecrease);
-    w.f64(p.sampleFraction);
-    w.u64(p.seed);
-    w.u64(forest.treeCount());
-    for (const auto& tree : forest.trees())
-        writeTreeBody(w, tree);
-    return std::move(w).finish();
-}
-
-RandomForestRegressor
-forestFromBinary(const std::string& blob, const std::string& source)
-{
-    cache::BinaryReader r(blob, source, kForestMagic, kForestVersion);
-    RandomForestParams params;
-    params.numTrees = r.i32();
-    params.tree.maxDepth = r.i32();
-    params.tree.minSamplesSplit = r.i32();
-    params.tree.minSamplesLeaf = r.i32();
-    params.tree.minImpurityDecrease = r.f64();
-    params.sampleFraction = r.f64();
-    params.seed = r.u64();
-    const std::uint64_t count = r.u64();
-    std::vector<DecisionTreeRegressor> trees;
-    trees.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i)
-        trees.push_back(readTreeBody(r));
-    r.expectEnd();
-    return RandomForestRegressor::fromTrees(std::move(trees), params);
-}
-
-void
-writeModelFile(const std::string& blob, const std::string& path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        raise({ErrorCode::Io, "cannot open for writing", {path, 0, ""}});
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out)
-        raise({ErrorCode::Io, "write failed", {path, 0, ""}});
-}
-
-std::string
-readModelFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return std::move(ss).str();
 }
 
 }  // namespace mapp::ml

@@ -1,15 +1,13 @@
 /**
  * @file
  * Trained-model binary serialization — the artifact-cache format for
- * fitted trees and forests. A tree is stored as its hyper-parameters,
- * feature names, and flat node array (versioned "MMDL" frame); a
- * forest ("MFRT") nests one tree body per member plus the ensemble
- * parameters. Deserialization rebuilds through
- * DecisionTreeRegressor::fromNodes, which re-validates the structure,
- * so a corrupt model file surfaces as a located mapp::InputError (or a
- * FatalError from the structural checks) and the cache falls back to
- * refitting — a reconstructed model predicts bit-identically to the
- * one that was saved.
+ * fitted trees. A tree is stored as its hyper-parameters, feature
+ * names, and flat node array (versioned "MMDL" frame).
+ * Deserialization rebuilds through DecisionTreeRegressor::fromNodes,
+ * which re-validates the structure, so a corrupt model file surfaces
+ * as a located mapp::InputError (or a FatalError from the structural
+ * checks) and the cache falls back to refitting — a reconstructed
+ * model predicts bit-identically to the one that was saved.
  */
 
 #ifndef MAPP_ML_MODEL_BINARY_H
@@ -18,7 +16,6 @@
 #include <string>
 
 #include "ml/decision_tree.h"
-#include "ml/random_forest.h"
 
 namespace mapp::ml {
 
@@ -33,19 +30,6 @@ std::string treeToBinary(const DecisionTreeRegressor& tree);
  */
 DecisionTreeRegressor treeFromBinary(const std::string& blob,
                                      const std::string& source = "");
-
-/** Serialize a trained forest. @throws FatalError if untrained. */
-std::string forestToBinary(const RandomForestRegressor& forest);
-
-/** Parse a forest from a blob produced by forestToBinary. */
-RandomForestRegressor forestFromBinary(const std::string& blob,
-                                       const std::string& source = "");
-
-/** Write a model blob to a file. @throws InputError on I/O failure. */
-void writeModelFile(const std::string& blob, const std::string& path);
-
-/** Read a model blob from a file. @throws InputError on I/O failure. */
-std::string readModelFile(const std::string& path);
 
 }  // namespace mapp::ml
 

@@ -85,18 +85,4 @@ RandomForestRegressor::predict(const Dataset& data) const
     return out;
 }
 
-RandomForestRegressor
-RandomForestRegressor::fromTrees(std::vector<DecisionTreeRegressor> trees,
-                                 RandomForestParams params)
-{
-    if (trees.empty())
-        fatal("RandomForestRegressor::fromTrees: no trees");
-    for (const auto& tree : trees)
-        if (!tree.trained())
-            fatal("RandomForestRegressor::fromTrees: untrained tree");
-    RandomForestRegressor forest(params);
-    forest.trees_ = std::move(trees);
-    return forest;
-}
-
 }  // namespace mapp::ml

@@ -52,24 +52,6 @@ class RandomForestRegressor
     std::size_t treeCount() const { return trees_.size(); }
     bool trained() const { return !trees_.empty(); }
 
-    /** The hyper-parameters the forest was constructed with. */
-    const RandomForestParams& params() const { return params_; }
-
-    /**
-     * Reconstruct a trained forest from already-reconstructed trees
-     * (the model-deserialization path). @throws FatalError if @p trees
-     * is empty or any tree is untrained.
-     */
-    static RandomForestRegressor fromTrees(
-        std::vector<DecisionTreeRegressor> trees,
-        RandomForestParams params = {});
-
-    /** The fitted trees (read-only; used by the compiled engine). */
-    const std::vector<DecisionTreeRegressor>& trees() const
-    {
-        return trees_;
-    }
-
   private:
     RandomForestParams params_;
     std::vector<DecisionTreeRegressor> trees_;

@@ -198,6 +198,15 @@ writeAppFeatures(cache::BinaryWriter& w, const AppFeatures& f)
         w.f64(v);
 }
 
+/** Bytes one writeAppFeatures record encodes in at the least. */
+constexpr std::size_t kMinAppFeatureBytes =
+    cache::kMinStrBytes + 4 + 8 + 8 + 4 + 8 * isa::kNumInstClasses;
+
+/** Bytes one campaign point encodes in at the least: two member names
+ * and batches, two feature records and three doubles. */
+constexpr std::size_t kMinPointBytes =
+    2 * (cache::kMinStrBytes + 4) + 2 * kMinAppFeatureBytes + 3 * 8;
+
 AppFeatures
 readAppFeatures(cache::BinaryReader& r, const std::string& source)
 {
@@ -266,10 +275,7 @@ std::vector<DataPoint>
 campaignFromBinary(const std::string& blob, const std::string& source)
 {
     cache::BinaryReader r(blob, source, kCampaignMagic, kRecordVersion);
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining())  // each point takes far more than one byte
-        raise({ErrorCode::Schema, "campaign point count exceeds payload",
-               {source, 0, ""}});
+    const std::uint64_t n = r.count(kMinPointBytes);
     std::vector<DataPoint> out;
     out.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -1,5 +1,5 @@
 /** @file Tests for the prediction-provenance log, the compiled-tree
- * audit hooks (leaf ids, per-tree votes) and the model-quality
+ * audit hook (leaf ids) and the model-quality
  * monitor: ring semantics, sampling arithmetic, concurrent writers,
  * ground-truth annotation and the predictor integration end to end. */
 
@@ -17,7 +17,6 @@
 #include "ml/compiled_tree.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
-#include "ml/random_forest.h"
 #include "obs/audit.h"
 #include "obs/json_reader.h"
 #include "obs/metrics.h"
@@ -266,35 +265,6 @@ TEST(CompiledTree, PredictLeafAgreesWithPrediction)
             tree.nodeView(static_cast<std::size_t>(leaf));
         EXPECT_TRUE(view.leaf);
         EXPECT_DOUBLE_EQ(view.value, compiled.predict(row));
-    }
-}
-
-TEST(CompiledForest, PredictVotesMeanMatchesPredict)
-{
-    ml::Dataset data({"x", "y"});
-    for (int i = 0; i < 48; ++i) {
-        const double x = static_cast<double>(i % 8);
-        const double y = static_cast<double>(i / 8);
-        data.addRow({x, y}, x * 2.0 + y);
-    }
-
-    ml::RandomForestParams params;
-    params.numTrees = 5;
-    ml::RandomForestRegressor forest(params);
-    forest.fit(data);
-    const ml::CompiledForest compiled(forest);
-
-    std::vector<double> votes;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        const auto& row = data.row(i);
-        const double mean = compiled.predictVotes(row, votes);
-        ASSERT_EQ(votes.size(), compiled.treeCount());
-        double sum = 0.0;
-        for (const double v : votes)
-            sum += v;
-        EXPECT_DOUBLE_EQ(mean,
-                         sum / static_cast<double>(votes.size()));
-        EXPECT_DOUBLE_EQ(mean, compiled.predict(row));
     }
 }
 

@@ -20,11 +20,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "cache/artifact_cache.h"
@@ -32,11 +34,11 @@
 #include "cache/hash.h"
 #include "cache/memo.h"
 #include "common/error.h"
+#include "isa/inst_class.h"
 #include "isa/trace_binary.h"
 #include "ml/dataset_binary.h"
 #include "ml/decision_tree.h"
 #include "ml/model_binary.h"
-#include "ml/random_forest.h"
 #include "obs/metrics.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
@@ -395,21 +397,6 @@ TEST(ArtifactFormats, TreeRoundTripPredictsIdentically)
     }
 }
 
-TEST(ArtifactFormats, ForestRoundTripPredictsIdentically)
-{
-    const auto data = sampleDataset();
-    ml::RandomForestParams params;
-    params.numTrees = 5;
-    ml::RandomForestRegressor forest(params);
-    forest.fit(data);
-    const auto back =
-        ml::forestFromBinary(ml::forestToBinary(forest), "forest-blob");
-    for (const auto& row : data.rows()) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.predict(row)),
-                  std::bit_cast<std::uint64_t>(forest.predict(row)));
-    }
-}
-
 TEST(ArtifactFormats, ModelBinaryRejectsGarbledNodes)
 {
     const auto data = sampleDataset();
@@ -422,6 +409,102 @@ TEST(ArtifactFormats, ModelBinaryRejectsGarbledNodes)
         // Checksum catches the flip; anything that (hypothetically)
         // slipped through would still die in fromNodes validation.
         EXPECT_THROW(ml::treeFromBinary(bad, "t"), FatalError);
+    }
+}
+
+/**
+ * Well-framed blobs (valid checksum) whose element count is 2^k but
+ * whose payload holds almost nothing. Each reader must reject the
+ * count against the payload before it sizes any allocation: a located
+ * InputError, never std::bad_alloc or std::length_error.
+ */
+TEST(ArtifactFormats, CraftedCountsRaiseLocatedInputErrors)
+{
+    using Parse = std::function<void(const std::string&)>;
+    struct Case
+    {
+        const char* what;
+        std::function<std::string(std::uint64_t)> blob;
+        Parse parse;
+    };
+    const Parse dataset = [](const std::string& b) {
+        (void)ml::datasetFromBinary(b, "crafted");
+    };
+    const Parse model = [](const std::string& b) {
+        (void)ml::treeFromBinary(b, "crafted");
+    };
+    const auto treeHeader = [](cache::BinaryWriter& w) {
+        w.i32(8);    // maxDepth
+        w.i32(2);    // minSamplesSplit
+        w.i32(1);    // minSamplesLeaf
+        w.f64(0.0);  // minImpurityDecrease
+    };
+    const Case cases[] = {
+        {"MDST feature names",
+         [](std::uint64_t n) {
+             cache::BinaryWriter w("MDST", 1);
+             w.u64(n);
+             w.u64(0);
+             return std::move(w).finish();
+         },
+         dataset},
+        {"MDST rows",
+         [](std::uint64_t n) {
+             cache::BinaryWriter w("MDST", 1);
+             w.u64(1);
+             w.str("x");
+             w.u64(n);
+             return std::move(w).finish();
+         },
+         dataset},
+        {"MMDL feature names",
+         [&](std::uint64_t n) {
+             cache::BinaryWriter w("MMDL", 1);
+             treeHeader(w);
+             w.u64(n);
+             return std::move(w).finish();
+         },
+         model},
+        {"MMDL nodes",
+         [&](std::uint64_t n) {
+             cache::BinaryWriter w("MMDL", 1);
+             treeHeader(w);
+             w.u64(0);
+             w.u64(n);
+             return std::move(w).finish();
+         },
+         model},
+        {"MTRC phases",
+         [](std::uint64_t n) {
+             cache::BinaryWriter w("MTRC", 1);
+             w.str("SIFT");
+             w.i32(4);
+             w.u32(static_cast<std::uint32_t>(isa::kNumInstClasses));
+             w.u64(n);
+             return std::move(w).finish();
+         },
+         [](const std::string& b) {
+             (void)isa::traceFromBinary(b, "crafted");
+         }},
+    };
+    for (const auto& c : cases) {
+        for (const int k : {24, 28, 63}) {
+            const std::string blob = c.blob(std::uint64_t{1} << k);
+            SCOPED_TRACE(std::string(c.what) + ", count 2^" +
+                         std::to_string(k));
+            try {
+                c.parse(blob);
+                ADD_FAILURE() << "crafted count was accepted";
+            } catch (const InputError& e) {
+                EXPECT_EQ("crafted", e.error().context().file);
+                EXPECT_NE(std::string(e.what()).find("exceeds the payload"),
+                          std::string::npos)
+                    << e.what();
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << "threw " << typeid(e).name() << ": "
+                              << e.what();
+            }
+        }
     }
 }
 

@@ -1,9 +1,9 @@
-/** @file Compiled-inference equivalence suite: the SoA engines must be
- * bit-identical to the node-walk oracle — fuzzed over random
- * trees/forests and probe vectors (including degenerate single-leaf
- * trees, probes placed exactly on split thresholds and NaN features),
- * across every batch size from 1 to 70 rows, at several thread counts,
- * and on the real campaign dataset. */
+/** @file Compiled-inference equivalence suite: the SoA engine must be
+ * bit-identical to the node-walk oracle — fuzzed over random trees and
+ * probe vectors (including degenerate single-leaf trees, probes placed
+ * exactly on split thresholds and NaN features), across every batch
+ * size from 1 to 70 rows, at several thread counts, and on the real
+ * campaign dataset. */
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "ml/compiled_tree.h"
 #include "ml/decision_tree.h"
-#include "ml/random_forest.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
 #include "predictor/scheduler.h"
@@ -165,75 +164,25 @@ TEST(CompiledTree, RejectsUntrainedAndBadShapes)
     EXPECT_THROW(compiled.predictBatch(flat, 2, out), FatalError);
 }
 
-TEST(CompiledForest, FuzzEquivalenceWithOracle)
-{
-    Rng rng(424242);
-    for (int trial = 0; trial < 12; ++trial) {
-        const auto rows =
-            static_cast<std::size_t>(rng.uniformInt(6, 60));
-        const auto features =
-            static_cast<std::size_t>(rng.uniformInt(1, 6));
-        const auto d = randomDataset(rng, rows, features);
-
-        ml::RandomForestParams params;
-        params.numTrees = static_cast<int>(rng.uniformInt(1, 12));
-        params.tree.maxDepth = static_cast<int>(rng.uniformInt(1, 7));
-        params.seed = 1000 + static_cast<std::uint64_t>(trial);
-        ml::RandomForestRegressor forest(params);
-        forest.fit(d);
-        const ml::CompiledForest compiled(forest);
-        EXPECT_EQ(compiled.treeCount(), forest.treeCount());
-
-        std::vector<std::vector<double>> probes;
-        for (int p = 0; p < 24; ++p) {
-            std::vector<double> x;
-            for (std::size_t f = 0; f < features; ++f)
-                x.push_back(rng.uniform(-12.0, 12.0));
-            probes.push_back(std::move(x));
-        }
-        sprinkleNaNs(probes, rng);
-        std::vector<double> batch(probes.size());
-        compiled.predictBatch(flatten(probes), features, batch);
-        for (std::size_t p = 0; p < probes.size(); ++p) {
-            const double oracle = forest.predict(probes[p]);
-            EXPECT_EQ(oracle, compiled.predict(probes[p]));
-            EXPECT_EQ(oracle, batch[p]);
-        }
-        // The dataset overloads agree with the oracle too.
-        EXPECT_EQ(forest.predict(d), compiled.predict(d));
-    }
-}
-
-TEST(CompiledForest, BatchMatchesSingleAcrossThreadCounts)
+TEST(CompiledTree, BatchMatchesSingleAcrossThreadCounts)
 {
     Rng rng(55);
-    // Enough rows to span several parallel chunks (chunk = 256 rows).
+    // Enough rows to span two parallel chunks (chunk = 1,024 rows).
     const auto d = randomDataset(rng, 1200, 5);
-    ml::RandomForestParams params;
-    params.numTrees = 10;
-    ml::RandomForestRegressor forest(params);
-    forest.fit(d);
-    const ml::CompiledForest compiled(forest);
-    const ml::CompiledTree compiledTree(forest.trees().front());
+    ml::DecisionTreeRegressor tree;
+    tree.fit(d);
+    const ml::CompiledTree compiled(tree);
 
     std::vector<double> single(d.size());
-    std::vector<double> singleTree(d.size());
-    for (std::size_t i = 0; i < d.size(); ++i) {
+    for (std::size_t i = 0; i < d.size(); ++i)
         single[i] = compiled.predict(d.row(i));
-        singleTree[i] = compiledTree.predict(d.row(i));
-    }
 
     const auto flat = d.toRowMajor();
     for (int threads : {1, 2, parallel::maxThreads()}) {
         parallel::setMaxThreads(threads);
         std::vector<double> batch(d.size());
         compiled.predictBatch(flat, d.numFeatures(), batch);
-        EXPECT_EQ(batch, single) << "forest @ threads=" << threads;
-
-        std::vector<double> treeBatch(d.size());
-        compiledTree.predictBatch(flat, d.numFeatures(), treeBatch);
-        EXPECT_EQ(treeBatch, singleTree)
-            << "tree @ threads=" << threads;
+        EXPECT_EQ(batch, single) << "threads=" << threads;
     }
     parallel::setMaxThreads(0);  // restore the environment default
 }
@@ -254,12 +203,6 @@ TEST(CompiledInference, EveryBatchSizeMatchesOracle)
     ml::DecisionTreeRegressor tree(tp);
     tree.fit(d);
     const ml::CompiledTree compiledTree(tree);
-    ml::RandomForestParams fp;
-    fp.numTrees = 7;
-    fp.tree.maxDepth = 6;
-    ml::RandomForestRegressor forest(fp);
-    forest.fit(d);
-    const ml::CompiledForest compiledForest(forest);
 
     // On-threshold probes first (probesFor appends them after the 70
     // random ones), then random ones up to 70 rows.
@@ -270,20 +213,15 @@ TEST(CompiledInference, EveryBatchSizeMatchesOracle)
     const auto flat = flatten(probes);
     for (std::size_t rows = 1; rows <= probes.size(); ++rows) {
         const std::span<const double> batch(flat.data(), rows * features);
-        std::vector<double> treeOut(rows);
-        std::vector<double> forestOut(rows);
-        compiledTree.predictBatch(batch, features, treeOut);
-        compiledForest.predictBatch(batch, features, forestOut);
-        for (std::size_t r = 0; r < rows; ++r) {
-            ASSERT_EQ(tree.predict(probes[r]), treeOut[r])
-                << "tree, batch " << rows << ", row " << r;
-            ASSERT_EQ(forest.predict(probes[r]), forestOut[r])
-                << "forest, batch " << rows << ", row " << r;
-        }
+        std::vector<double> out(rows);
+        compiledTree.predictBatch(batch, features, out);
+        for (std::size_t r = 0; r < rows; ++r)
+            ASSERT_EQ(tree.predict(probes[r]), out[r])
+                << "batch " << rows << ", row " << r;
     }
 }
 
-/** The real campaign: compiled engines must reproduce the node walk
+/** The real campaign: the compiled engine must reproduce the node walk
  * bit for bit on every measured data point. */
 TEST(CompiledInference, CampaignDatasetPinned)
 {
@@ -296,13 +234,6 @@ TEST(CompiledInference, CampaignDatasetPinned)
     tree.fit(raw);
     const ml::CompiledTree compiledTree(tree);
     EXPECT_EQ(tree.predict(raw), compiledTree.predict(raw));
-
-    ml::RandomForestParams fp;
-    fp.numTrees = 50;
-    ml::RandomForestRegressor forest(fp);
-    forest.fit(raw);
-    const ml::CompiledForest compiledForest(forest);
-    EXPECT_EQ(forest.predict(raw), compiledForest.predict(raw));
 
     // The predictor's batched entry points agree with its
     // per-point predictions (and with each other).
