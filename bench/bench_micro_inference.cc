@@ -1,19 +1,19 @@
 /**
  * @file
- * The inference-engine microbench: single-sample latency and batch
- * throughput of tree prediction on the fig4 campaign dataset, seed-
- * style per-row node walk vs. the compiled SoA engine. Every
- * number lands in the metrics sidecar (bench.inference.* gauges) so
- * the perf trajectory of the serving path is measured, not asserted.
+ * The inference microbench: single-sample latency and batch(91)
+ * throughput of the tree walk on the fig4 campaign dataset, plus the
+ * provenance-audit overhead of the predictDataset path. Every number
+ * lands in the metrics sidecar (bench.inference.* and bench.audit.*
+ * gauges) so the cost of the serving path is measured, not asserted.
  *
  * Flags:
  *   --iters=<n>     scale all repetition counts (default 2000; the
  *                   bench_smoke ctest entry passes a tiny value so the
  *                   whole path is compile- and run-checked in tier 1).
  *   --json-out=<f>  where to write the gauge snapshot (default
- *                   BENCH_inference.json; empty disables). This is the
- *                   tracked perf-trajectory artifact — the sidecar
- *                   <binary>.metrics.json still appears independently.
+ *                   BENCH_inference.json; empty disables). The
+ *                   sidecar <binary>.metrics.json still appears
+ *                   independently.
  */
 
 #include <algorithm>
@@ -21,14 +21,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
-#include "common/parallel.h"
 #include "common/parse.h"
-#include "ml/compiled_tree.h"
 #include "obs/audit.h"
 #include "predictor/predictor.h"
 
@@ -36,7 +33,7 @@ using namespace mapp;
 
 namespace {
 
-/** Rows in the replicated "serving-scale" batch. */
+/** Rows in the replicated evaluation set of the audit section. */
 constexpr std::size_t kServingRows = 8192;
 
 /**
@@ -101,8 +98,7 @@ main(int argc, char** argv)
         }
     }
 
-    bench::printSystemHeader(
-        "Inference microbench - node walk vs. compiled SoA engine");
+    bench::printSystemHeader("Inference microbench - the tree walk");
 
     const auto& raw = bench::campaignDataset();
     const std::size_t nRows = raw.size();
@@ -110,81 +106,19 @@ main(int argc, char** argv)
 
     ml::DecisionTreeRegressor tree;
     tree.fit(raw);
-    const ml::CompiledTree compiledTree(tree);
-
-    // Flat row-major buffers: the campaign batch and a replicated
-    // serving-scale batch (the campaign tiled to kServingRows rows).
     const auto flat = raw.toRowMajor();
-    std::vector<double> servingFlat;
-    servingFlat.reserve(kServingRows * nFeatures);
-    while (servingFlat.size() < kServingRows * nFeatures) {
-        const std::size_t want =
-            kServingRows * nFeatures - servingFlat.size();
-        servingFlat.insert(
-            servingFlat.end(), flat.begin(),
-            want >= flat.size() ? flat.end()
-                                : flat.begin() + static_cast<long>(want));
-    }
-
-    // Correctness gate first: the compiled engine must agree with the
-    // node-walk oracle on every campaign row before any timing is
-    // worth reporting.
-    {
-        if (compiledTree.predict(raw) != tree.predict(raw)) {
-            std::fprintf(stderr,
-                         "FATAL: compiled predictions diverge from the "
-                         "node-walk oracle\n");
-            return 1;
-        }
-    }
-
     std::vector<double> out(nRows);
-    std::vector<double> servingOut(kServingRows);
-    const long singleReps = iters;
-    const long batchReps = iters;
-    const long servingReps = std::max(1L, iters / 16);
 
-    // --- single-sample latency (one prediction per call) ---
-    const double treeSingleRef = secondsFor(
+    // --- single-sample latency (one predict() per row) and batch
+    // throughput (one predictBatch() over the campaign rows) ---
+    const double single = secondsFor(
         [&] {
             for (std::size_t i = 0; i < nRows; ++i)
                 out[i] = tree.predict(raw.row(i));
         },
-        singleReps);
-    const double treeSingleCompiled = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = compiledTree.predict(raw.row(i));
-        },
-        singleReps);
-
-    // --- batch throughput on the campaign dataset ---
-    // The reference is the seed shape: every row walks the
-    // pointer-heavy nodes one at a time.
-    const double treeBatchRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = tree.predict(raw.row(i));
-        },
-        batchReps);
-    const double treeBatchCompiled = secondsFor(
-        [&] { compiledTree.predictBatch(flat, nFeatures, out); },
-        batchReps);
-
-    // --- serving-scale batch (campaign tiled to kServingRows, so the
-    // batch splits into several parallel chunks) ---
-    const double servingRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < kServingRows; ++i)
-                servingOut[i] = tree.predict(std::span<const double>(
-                    servingFlat.data() + i * nFeatures, nFeatures));
-        },
-        servingReps);
-    const double servingCompiled = secondsFor(
-        [&] {
-            compiledTree.predictBatch(servingFlat, nFeatures, servingOut);
-        },
-        servingReps);
+        iters);
+    const double batch = secondsFor(
+        [&] { tree.predictBatch(flat, nFeatures, out); }, iters);
 
     const auto perPredNs = [](double seconds, long reps,
                               std::size_t rows) {
@@ -194,41 +128,25 @@ main(int argc, char** argv)
     struct Line
     {
         const char* name;
-        double refNs;
-        double engineNs;
+        double ns;
         const char* gauge;
     };
     const Line lines[] = {
-        {"tree single-sample", perPredNs(treeSingleRef, singleReps, nRows),
-         perPredNs(treeSingleCompiled, singleReps, nRows),
+        {"tree single-sample", perPredNs(single, iters, nRows),
          "tree.single"},
-        {"tree batch(91)", perPredNs(treeBatchRef, batchReps, nRows),
-         perPredNs(treeBatchCompiled, batchReps, nRows), "tree.batch"},
-        {"tree batch(8192)",
-         perPredNs(servingRef, servingReps, kServingRows),
-         perPredNs(servingCompiled, servingReps, kServingRows),
-         "tree.serving"},
+        {"tree batch(91)", perPredNs(batch, iters, nRows), "tree.batch"},
     };
 
-    TextTable table("inference latency / throughput (" +
-                    std::to_string(parallel::maxThreads()) +
-                    " thread lanes)");
-    table.setHeader({"path", "node walk ns/pred", "compiled ns/pred",
-                     "speedup", "compiled preds/sec"});
+    TextTable table("inference latency / throughput");
+    table.setHeader({"path", "ns/pred", "preds/sec"});
     for (const auto& line : lines) {
-        const double speedup =
-            line.engineNs > 0.0 ? line.refNs / line.engineNs : 0.0;
-        const double pps = 1e9 / line.engineNs;
-        table.addRow({line.name, formatDouble(line.refNs, 1),
-                      formatDouble(line.engineNs, 1),
-                      formatDouble(speedup, 2) + "x",
+        const double pps = 1e9 / line.ns;
+        table.addRow({line.name, formatDouble(line.ns, 1),
                       formatDouble(pps, 0)});
         const std::string prefix =
             std::string("bench.inference.") + line.gauge;
-        setGauge(prefix + ".ref_ns_per_pred", line.refNs);
-        setGauge(prefix + ".compiled_ns_per_pred", line.engineNs);
-        setGauge(prefix + ".speedup", speedup);
-        setGauge(prefix + ".compiled_preds_per_sec", pps);
+        setGauge(prefix + ".ns_per_pred", line.ns);
+        setGauge(prefix + ".preds_per_sec", pps);
     }
     std::printf("%s\n", table.render().c_str());
 
@@ -251,13 +169,10 @@ main(int argc, char** argv)
         }
         std::vector<double> preds;
         obs::PredictionLog& log = obs::predictionLog();
-        // Single lane + interleaved A/B slices: pool scheduling and
-        // frequency drift each add noise an order of magnitude larger
-        // than the effect under test. One lane removes the scheduler;
-        // alternating off/on slices exposes both variants to the same
-        // drift, and the per-variant minimum rejects what remains.
-        const int lanes = parallel::maxThreads();
-        parallel::setMaxThreads(1);
+        // Interleaved A/B slices: frequency drift adds noise an order
+        // of magnitude larger than the effect under test. Alternating
+        // off/on slices exposes both variants to the same drift, and
+        // the per-variant minimum rejects what remains.
         log.clear();
         log.setSamplePeriod(100);
         const long auditSlices = std::max(4L, iters / 8);
@@ -283,7 +198,6 @@ main(int argc, char** argv)
         log.setEnabled(false);
         log.setSamplePeriod(1);
         log.clear();
-        parallel::setMaxThreads(lanes);
         std::sort(offTimes.begin(), offTimes.end());
         std::sort(deltas.begin(), deltas.end());
         const double offBest = offTimes.front();

@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "cpusim/multicore_sim.h"
 #include "gpusim/mps_sim.h"
-#include "ml/compiled_tree.h"
 #include "ml/decision_tree.h"
 #include "ml/linear_regression.h"
 #include "ml/svr.h"
@@ -71,22 +70,21 @@ BM_DecisionTreePredict(benchmark::State& state)
 BENCHMARK(BM_DecisionTreePredict);
 
 void
-BM_CompiledTreePredictBatch(benchmark::State& state)
+BM_DecisionTreePredictBatch(benchmark::State& state)
 {
     const auto d = syntheticDataset(500, 23);
     ml::DecisionTreeRegressor tree;
     tree.fit(d);
-    const ml::CompiledTree compiled(tree);
     const auto flat = d.toRowMajor();
     std::vector<double> out(d.size());
     for (auto _ : state) {
-        compiled.predictBatch(flat, d.numFeatures(), out);
+        tree.predictBatch(flat, d.numFeatures(), out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(d.size()));
 }
-BENCHMARK(BM_CompiledTreePredictBatch);
+BENCHMARK(BM_DecisionTreePredictBatch);
 
 void
 BM_SvrFit(benchmark::State& state)

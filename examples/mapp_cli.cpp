@@ -19,7 +19,7 @@
  *   mapp_cli serve [--socket=PATH]    resident prediction service:
  *                                     JSONL requests over a Unix socket
  *                                     (or stdin/stdout), micro-batched
- *                                     through the compiled engine
+ *                                     through the tree walk
  *
  * Serve flags (serve only):
  *   --socket=<path>           listen on a Unix-domain socket; without

@@ -84,6 +84,11 @@ DecisionTreeRegressor::fit(const std::vector<std::vector<double>>& rows,
     nodes_.clear();
     if (feature_names.empty())
         feature_names.assign(rows.front().size(), "");
+    if (feature_names.size() != rows.front().size())
+        fatal("DecisionTreeRegressor::fit: " +
+              std::to_string(feature_names.size()) +
+              " feature names for rows of " +
+              std::to_string(rows.front().size()) + " features");
     featureNames_ = std::move(feature_names);
 
     const std::size_t n = rows.size();
@@ -280,43 +285,55 @@ DecisionTreeRegressor::buildNode(
     return nodeId;
 }
 
+void
+DecisionTreeRegressor::rejectRow(const char* who, std::size_t have) const
+{
+    const std::string where = std::string("DecisionTreeRegressor::") + who;
+    if (nodes_.empty())
+        fatal(where + ": model not trained");
+    fatal(where + ": row has " + std::to_string(have) +
+          " features, the tree needs " + std::to_string(numFeatures()));
+}
+
 double
 DecisionTreeRegressor::predict(std::span<const double> x) const
 {
-    if (nodes_.empty())
-        fatal("DecisionTreeRegressor::predict: model not trained");
-    int cur = 0;
-    while (!nodes_[static_cast<std::size_t>(cur)].leaf) {
-        const Node& node = nodes_[static_cast<std::size_t>(cur)];
-        cur = x[static_cast<std::size_t>(node.feature)] <= node.threshold
-                  ? node.left
-                  : node.right;
-    }
-    return nodes_[static_cast<std::size_t>(cur)].value;
+    return nodes_[static_cast<std::size_t>(predictLeaf(x))].value;
 }
 
 std::vector<double>
 DecisionTreeRegressor::predict(const Dataset& data) const
 {
-    if (nodes_.empty())
-        fatal("DecisionTreeRegressor::predict: model not trained");
-    // Sized up front and walked without the per-call trained check:
-    // this loop is the oracle the compiled engine is checked against,
-    // so it stays a plain node walk, just not a needlessly slow one.
     std::vector<double> out(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        const auto& x = data.row(i);
-        int cur = 0;
-        while (!nodes_[static_cast<std::size_t>(cur)].leaf) {
-            const Node& node = nodes_[static_cast<std::size_t>(cur)];
-            cur = x[static_cast<std::size_t>(node.feature)] <=
-                          node.threshold
-                      ? node.left
-                      : node.right;
-        }
-        out[i] = nodes_[static_cast<std::size_t>(cur)].value;
-    }
+    for (std::size_t i = 0; i < data.size(); ++i)
+        out[i] = predict(data.row(i));
     return out;
+}
+
+void
+DecisionTreeRegressor::predictBatch(std::span<const double> rowMajor,
+                                    std::size_t nFeatures,
+                                    std::span<double> out) const
+{
+    if (nodes_.empty() || nFeatures != featureNames_.size())
+        rejectRow("predictBatch", nFeatures);
+    const std::size_t nRows = out.size();
+    if (rowMajor.size() != nFeatures * nRows)
+        fatal("DecisionTreeRegressor::predictBatch: rowMajor size does "
+              "not equal nFeatures * out size");
+    if (nRows == 0)
+        return;
+    // Cached references: the registry owns its counters for the
+    // process lifetime, and a string-keyed map lookup per batch would
+    // cost more than a small batch's entire walk.
+    static obs::Counter& batches =
+        obs::defaultRegistry().counter("ml.inference.batches");
+    static obs::Counter& batchRows =
+        obs::defaultRegistry().counter("ml.inference.batch_rows");
+    batches.add(1);
+    batchRows.add(nRows);
+    for (std::size_t r = 0; r < nRows; ++r)
+        out[r] = predict(rowMajor.subspan(r * nFeatures, nFeatures));
 }
 
 TreeNodeView
@@ -340,8 +357,8 @@ DecisionTreeRegressor::nodeView(std::size_t i) const
 std::vector<DecisionStep>
 DecisionTreeRegressor::decisionPath(std::span<const double> x) const
 {
-    if (nodes_.empty())
-        fatal("DecisionTreeRegressor::decisionPath: model not trained");
+    if (nodes_.empty() || x.size() < featureNames_.size())
+        rejectRow("decisionPath", x.size());
     std::vector<DecisionStep> path;
     int cur = 0;
     while (!nodes_[static_cast<std::size_t>(cur)].leaf) {

@@ -46,9 +46,9 @@ struct DecisionStep
 };
 
 /**
- * Read-only view of one tree node, exposed so external engines (the
- * compiled SoA inference layer) can flatten a trained tree without
- * depending on the private storage layout.
+ * Read-only view of one tree node, exposed so serializers, the audit
+ * tables and tests can read a trained tree without depending on the
+ * private storage layout.
  */
 struct TreeNodeView
 {
@@ -94,11 +94,32 @@ class DecisionTreeRegressor
         std::vector<std::string> feature_names,
         DecisionTreeParams params = {});
 
-    /** Predict one sample. */
+    /**
+     * The node id of the leaf @p x lands on: the one prediction walk.
+     * Every internal node sends x[feature] <= threshold left and
+     * anything else (NaN included) right. Leaf ids key per-leaf
+     * lookaside tables such as nodeView() or the predictor's audit
+     * summaries. @throws FatalError if untrained or if @p x holds
+     * fewer than numFeatures() values.
+     */
+    int predictLeaf(std::span<const double> x) const;
+
+    /** Predict one sample (the value of predictLeaf(x)). */
     double predict(std::span<const double> x) const;
 
     /** Predict every row of a dataset. */
     std::vector<double> predict(const Dataset& data) const;
+
+    /**
+     * Predict a row-major batch: sample r occupies
+     * rowMajor[r*nFeatures .. (r+1)*nFeatures) and its prediction is
+     * written to out[r] (out.size() rows), one predict() per row.
+     * @throws FatalError if untrained, if @p nFeatures is not
+     * numFeatures(), or if rowMajor.size() != nFeatures * out.size().
+     */
+    void predictBatch(std::span<const double> rowMajor,
+                      std::size_t nFeatures,
+                      std::span<double> out) const;
 
     /** The internal decision nodes visited by a sample, in order. */
     std::vector<DecisionStep> decisionPath(std::span<const double> x) const;
@@ -161,6 +182,14 @@ class DecisionTreeRegressor
     };
 
     /**
+     * Throw for a walk by @p who on an untrained tree or over rows of
+     * @p have values where numFeatures() are needed. Out of line and
+     * cold, so the message building stays off the inlined walk.
+     */
+    [[noreturn]] __attribute__((noinline, cold)) void rejectRow(
+        const char* who, std::size_t have) const;
+
+    /**
      * Grow one subtree over the samples in @p orders (one presorted
      * index array per feature, all covering the same sample set).
      * @p indices holds the same samples in partition order (root:
@@ -179,6 +208,25 @@ class DecisionTreeRegressor
     std::vector<Node> nodes_;
     std::vector<std::string> featureNames_;
 };
+
+// Inline: this is every prediction's inner loop, called per row from
+// the predictor and the serve batch.
+inline int
+DecisionTreeRegressor::predictLeaf(std::span<const double> x) const
+{
+    // fit() and fromNodes() keep every internal feature index below
+    // numFeatures(), so the length check bounds every x[] read below.
+    if (nodes_.empty() || x.size() < featureNames_.size())
+        rejectRow("predict", x.size());
+    int cur = 0;
+    while (!nodes_[static_cast<std::size_t>(cur)].leaf) {
+        const Node& node = nodes_[static_cast<std::size_t>(cur)];
+        cur = x[static_cast<std::size_t>(node.feature)] <= node.threshold
+                  ? node.left
+                  : node.right;
+    }
+    return cur;
+}
 
 }  // namespace mapp::ml
 

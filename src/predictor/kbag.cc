@@ -158,7 +158,6 @@ KBagPredictor::train(const std::vector<KBagPoint>& points)
     const auto prepared = normalizer_.apply(raw);
     tree_ = ml::DecisionTreeRegressor(treeParams_);
     tree_.fit(prepared);
-    compiled_ = ml::CompiledTree(tree_);
 }
 
 double
@@ -171,7 +170,7 @@ KBagPredictor::predict(const KBagPoint& point) const
 
     auto row = buildKBagVector(point);
     normalizer_.applyBatchInPlace(row, timeMask_);
-    return normalizer_.denormalizeTarget(compiled_.predict(row));
+    return normalizer_.denormalizeTarget(tree_.predict(row));
 }
 
 std::vector<double>
@@ -190,7 +189,7 @@ KBagPredictor::predictBatch(const std::vector<KBagPoint>& points) const
     }
     normalizer_.applyBatchInPlace(flat, timeMask_);
     std::vector<double> out(points.size());
-    compiled_.predictBatch(flat, nF, out);
+    tree_.predictBatch(flat, nF, out);
     normalizer_.denormalizeInPlace(out);
     return out;
 }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ml/compiled_tree.h"
 #include "ml/decision_tree.h"
 #include "predictor/data_collection.h"
 
@@ -93,8 +92,8 @@ class KBagPredictor
     double predict(const KBagPoint& point) const;
 
     /**
-     * Predict a batch of k-bags in one pass through the compiled
-     * tree; element i equals predict(points[i]) bit for bit.
+     * Predict a batch of k-bags through one predictBatch() call;
+     * element i equals predict(points[i]) bit for bit.
      */
     std::vector<double> predictBatch(
         const std::vector<KBagPoint>& points) const;
@@ -105,7 +104,6 @@ class KBagPredictor
     int k_;
     ml::DecisionTreeParams treeParams_;
     ml::DecisionTreeRegressor tree_;
-    ml::CompiledTree compiled_;  ///< SoA engine over tree_
     RangeNormalizer normalizer_;
     std::vector<char> timeMask_;  ///< per-feature flags, fixed by k
 };

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ml/compiled_tree.h"
 #include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
 #include "predictor/data_collection.h"
@@ -77,7 +76,7 @@ class MultiAppPredictor
     /**
      * Predict a whole batch of what-if queries in one pass: one
      * projection + normalization over a contiguous row-major buffer,
-     * then the compiled tree's batched traversal. Element i equals
+     * then the tree's predictBatch(). Element i equals
      * predict(queries[i].a, queries[i].b, queries[i].fairness) bit
      * for bit.
      */
@@ -87,7 +86,7 @@ class MultiAppPredictor
     /**
      * Predict every row of a raw (unnormalized, full-layout) dataset:
      * project to the scheme, normalize the whole batch in place, run
-     * the compiled tree, denormalize in place. Used by the
+     * the tree's predictBatch(), denormalize in place. Used by the
      * cross-validation fold evaluation and the figure benches.
      */
     std::vector<double> predictDataset(const ml::Dataset& raw_test) const;
@@ -120,8 +119,13 @@ class MultiAppPredictor
         return trainMax_;
     }
 
-    /** The compiled inference engine (rebuilt on every train()). */
-    const ml::CompiledTree& compiledTree() const;
+    /**
+     * The trained tree, same as tree(). Kept only because the
+     * end-to-end benchmark (perfbench/mapp_perfbench.cc) times
+     * compiledTree().predictBatch(); switch that call to tree() and
+     * delete this alias together. @throws if untrained.
+     */
+    const ml::DecisionTreeRegressor& compiledTree() const;
 
     /** The trained tree (for inspection). @throws if untrained. */
     const ml::DecisionTreeRegressor& tree() const;
@@ -180,7 +184,6 @@ class MultiAppPredictor
 
     PredictorParams params_;
     std::optional<ml::DecisionTreeRegressor> tree_;
-    ml::CompiledTree compiled_;  ///< SoA engine over *tree_
     RangeNormalizer normalizer_;
     ml::Dataset trainLayout_;  ///< empty dataset carrying feature names
     /** Scheme feature names, resolved once in the constructor. */

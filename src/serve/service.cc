@@ -232,9 +232,9 @@ PredictionService::workerLoop()
             return;  // draining_ and nothing left to answer
 
         // Take whole jobs until the batch reaches batchRows. A single
-        // job larger than batchRows is taken whole — the engine's
-        // lock-step kernel handles any row count and a job is never
-        // split across predictBatch calls.
+        // job larger than batchRows is taken whole — predictBatch
+        // handles any row count and a job is never split across
+        // predictBatch calls.
         std::vector<Job> batch;
         std::size_t batchedRows = 0;
         while (!queue_.empty() &&

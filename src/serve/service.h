@@ -2,7 +2,7 @@
  * @file
  * The resident prediction service: a bounded MPMC request queue with
  * admission control in front of a work-conserving batch worker that
- * feeds the compiled inference engine.
+ * feeds the tree's batch prediction.
  *
  * Design:
  *  - Backpressure by rejection, never by growth. submit() admits a job
@@ -23,7 +23,7 @@
  *    non-empty and nothing is in flight, then takes queued jobs until
  *    it holds batchRows rows or the queue is empty, and answers them
  *    with ONE MultiAppPredictor::predictBatch call — bit-identical to
- *    per-row predict() by the engine's construction. Batches form only
+ *    per-row predict(), since both walk the same tree. Batches form only
  *    from requests that arrive while a batch is in flight, which is
  *    the only time batching saves anything, and the worker keeps that
  *    backlog off the submitting (transport reader) threads.

@@ -1,4 +1,4 @@
-/** @file Tests for the prediction-provenance log, the compiled-tree
+/** @file Tests for the prediction-provenance log, the tree's
  * audit hook (leaf ids) and the model-quality
  * monitor: ring semantics, sampling arithmetic, concurrent writers,
  * ground-truth annotation and the predictor integration end to end. */
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/log.h"
-#include "ml/compiled_tree.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 #include "obs/audit.h"
@@ -243,9 +242,9 @@ TEST(PredictionLog, ConcurrentWritersLoseNothing)
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-model audit hooks
+// Tree audit hooks
 
-TEST(CompiledTree, PredictLeafAgreesWithPrediction)
+TEST(TreeAudit, PredictLeafAgreesWithPrediction)
 {
     ml::Dataset data({"x"});
     for (int i = 0; i < 32; ++i)
@@ -253,18 +252,17 @@ TEST(CompiledTree, PredictLeafAgreesWithPrediction)
 
     ml::DecisionTreeRegressor tree;
     tree.fit(data);
-    const ml::CompiledTree compiled(tree);
 
     for (double x : {0.0, 7.5, 15.0, 16.0, 31.0}) {
         const std::vector<double> row{x};
-        const auto leaf = compiled.predictLeaf(row);
+        const auto leaf = tree.predictLeaf(row);
         ASSERT_GE(leaf, 0);
         ASSERT_LT(static_cast<std::size_t>(leaf), tree.nodeCount());
         // The leaf id keys the source tree's node table.
         const auto view =
             tree.nodeView(static_cast<std::size_t>(leaf));
         EXPECT_TRUE(view.leaf);
-        EXPECT_DOUBLE_EQ(view.value, compiled.predict(row));
+        EXPECT_DOUBLE_EQ(view.value, tree.predict(row));
     }
 }
 

@@ -113,6 +113,15 @@ TEST(DecisionTree, EmptyFitIsFatal)
     EXPECT_THROW(tree.fit(Dataset({"x"})), FatalError);
 }
 
+TEST(DecisionTree, MismatchedFeatureNamesAreFatal)
+{
+    // numFeatures() is the bound the walk checks rows against, so it
+    // must be the rows' width.
+    DecisionTreeRegressor tree;
+    EXPECT_THROW(tree.fit({{1.0, 2.0}, {3.0, 4.0}}, {0.0, 1.0}, {"x"}),
+                 FatalError);
+}
+
 TEST(DecisionTree, PredictBeforeFitIsFatal)
 {
     DecisionTreeRegressor tree;

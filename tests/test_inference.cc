@@ -1,20 +1,21 @@
-/** @file Compiled-inference equivalence suite: the SoA engine must be
- * bit-identical to the node-walk oracle — fuzzed over random trees and
- * probe vectors (including degenerate single-leaf trees, probes placed
- * exactly on split thresholds and NaN features), across every batch
- * size from 1 to 70 rows, at several thread counts, and on the real
- * campaign dataset. */
+/** @file Tree-inference suite: DecisionTreeRegressor's one walk
+ * (predictLeaf, predict, predictBatch, predict(Dataset)) must match a
+ * reference walk written here over the public nodeView() — fuzzed over
+ * random trees and probe vectors (including degenerate single-leaf
+ * trees, probes placed exactly on split thresholds and NaN features),
+ * across every batch size from 1 to 70 rows, and on the real campaign
+ * dataset. Rows shorter than the tree's feature count are rejected. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/log.h"
-#include "common/parallel.h"
 #include "common/rng.h"
-#include "ml/compiled_tree.h"
 #include "ml/decision_tree.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
@@ -46,8 +47,7 @@ randomDataset(Rng& rng, std::size_t rows, std::size_t features,
 /**
  * Probe vectors for a fitted tree: random points plus, for every
  * internal node, a point sitting exactly ON the node's threshold in
- * the node's feature (the <= boundary both engines must route the
- * same way).
+ * the node's feature (the <= boundary, which routes left).
  */
 std::vector<std::vector<double>>
 probesFor(const ml::DecisionTreeRegressor& tree, Rng& rng,
@@ -74,7 +74,7 @@ probesFor(const ml::DecisionTreeRegressor& tree, Rng& rng,
 }
 
 /** Put a NaN in one random feature of every 13th probe (NaN fails
- * `<=`, so both engines must route it right). */
+ * `<=`, so it routes right). */
 void
 sprinkleNaNs(std::vector<std::vector<double>>& probes, Rng& rng)
 {
@@ -83,6 +83,30 @@ sprinkleNaNs(std::vector<std::vector<double>>& probes, Rng& rng)
             0, static_cast<int>(probes[p].size()) - 1));
         probes[p][f] = std::numeric_limits<double>::quiet_NaN();
     }
+}
+
+/**
+ * The oracle: an independent walk over nodeView(). NaN and anything
+ * above the threshold go right, everything else left.
+ */
+std::size_t
+referenceLeaf(const ml::DecisionTreeRegressor& tree,
+              std::span<const double> x)
+{
+    std::size_t id = 0;
+    for (auto v = tree.nodeView(id); !v.leaf; v = tree.nodeView(id)) {
+        const double value = x[static_cast<std::size_t>(v.feature)];
+        const bool right = std::isnan(value) || value > v.threshold;
+        id = static_cast<std::size_t>(right ? v.right : v.left);
+    }
+    return id;
+}
+
+double
+referencePredict(const ml::DecisionTreeRegressor& tree,
+                 std::span<const double> x)
+{
+    return tree.nodeView(referenceLeaf(tree, x)).value;
 }
 
 std::vector<double>
@@ -94,7 +118,7 @@ flatten(const std::vector<std::vector<double>>& rows)
     return flat;
 }
 
-TEST(CompiledTree, FuzzEquivalenceWithOracle)
+TEST(TreeInference, FuzzAgainstReferenceWalk)
 {
     Rng rng(2026);
     for (int trial = 0; trial < 40; ++trial) {
@@ -110,23 +134,23 @@ TEST(CompiledTree, FuzzEquivalenceWithOracle)
         params.minSamplesLeaf = static_cast<int>(rng.uniformInt(1, 3));
         ml::DecisionTreeRegressor tree(params);
         tree.fit(d);
-        const ml::CompiledTree compiled(tree);
-        ASSERT_TRUE(compiled.compiled());
-        EXPECT_EQ(compiled.nodeCount(), tree.nodeCount());
 
         auto probes = probesFor(tree, rng, features, 16);
         sprinkleNaNs(probes, rng);
         std::vector<double> batch(probes.size());
-        compiled.predictBatch(flatten(probes), features, batch);
+        tree.predictBatch(flatten(probes), features, batch);
         for (std::size_t p = 0; p < probes.size(); ++p) {
-            const double oracle = tree.predict(probes[p]);
-            EXPECT_EQ(oracle, compiled.predict(probes[p]));
+            const auto leaf = referenceLeaf(tree, probes[p]);
+            EXPECT_EQ(leaf,
+                      static_cast<std::size_t>(tree.predictLeaf(probes[p])));
+            const double oracle = tree.nodeView(leaf).value;
+            EXPECT_EQ(oracle, tree.predict(probes[p]));
             EXPECT_EQ(oracle, batch[p]);
         }
     }
 }
 
-TEST(CompiledTree, SingleLeafTree)
+TEST(TreeInference, SingleLeafTree)
 {
     Rng rng(7);
     const auto d = randomDataset(rng, 5, 3, /*flat=*/true);
@@ -134,66 +158,64 @@ TEST(CompiledTree, SingleLeafTree)
     tree.fit(d);
     ASSERT_EQ(tree.nodeCount(), 1u);
 
-    const ml::CompiledTree compiled(tree);
-    EXPECT_EQ(compiled.steps(), 0);
     const std::vector<double> x{0.0, 1.0, 2.0};
-    EXPECT_EQ(tree.predict(x), compiled.predict(x));
+    EXPECT_EQ(tree.predictLeaf(x), 0);
+    EXPECT_EQ(tree.predict(x), referencePredict(tree, x));
     std::vector<double> out(2);
     const std::vector<double> flat{0.0, 1.0, 2.0, 3.0, 4.0, 5.0};
-    compiled.predictBatch(flat, 3, out);
+    tree.predictBatch(flat, 3, out);
     EXPECT_EQ(out[0], tree.predict(x));
     EXPECT_EQ(out[1], out[0]);
 }
 
-TEST(CompiledTree, RejectsUntrainedAndBadShapes)
+TEST(TreeInference, RejectsUntrainedAndBadShapes)
 {
-    EXPECT_THROW(ml::CompiledTree{ml::DecisionTreeRegressor{}},
-                 FatalError);
-
-    const ml::CompiledTree empty;
-    EXPECT_FALSE(empty.compiled());
-    EXPECT_THROW(empty.predict(std::vector<double>{1.0}), FatalError);
+    const ml::DecisionTreeRegressor untrained;
+    const std::vector<double> one{1.0};
+    std::vector<double> oneOut(1);
+    EXPECT_THROW(untrained.predict(one), FatalError);
+    EXPECT_THROW(untrained.predictLeaf(one), FatalError);
+    EXPECT_THROW(untrained.predictBatch(one, 1, oneOut), FatalError);
 
     Rng rng(11);
     const auto d = randomDataset(rng, 20, 2);
     ml::DecisionTreeRegressor tree;
     tree.fit(d);
-    const ml::CompiledTree compiled(tree);
+    ASSERT_GT(tree.nodeCount(), 1u);
     std::vector<double> out(3);
     const std::vector<double> flat{1.0, 2.0, 3.0, 4.0};  // not 3 rows x 2
-    EXPECT_THROW(compiled.predictBatch(flat, 2, out), FatalError);
-}
+    EXPECT_THROW(tree.predictBatch(flat, 2, out), FatalError);
 
-TEST(CompiledTree, BatchMatchesSingleAcrossThreadCounts)
-{
-    Rng rng(55);
-    // Enough rows to span two parallel chunks (chunk = 1,024 rows).
-    const auto d = randomDataset(rng, 1200, 5);
-    ml::DecisionTreeRegressor tree;
-    tree.fit(d);
-    const ml::CompiledTree compiled(tree);
+    // Rows shorter than the tree's two features: a consistent
+    // 3-rows-of-1 batch, and a single one-value row, must be refused
+    // rather than read x[1] past the row (and, on the last row, past
+    // the buffer).
+    const std::vector<double> narrow{1.0, 2.0, 3.0};
+    EXPECT_THROW(tree.predictBatch(narrow, 1, out), FatalError);
+    EXPECT_THROW(tree.predict(one), FatalError);
+    EXPECT_THROW(tree.predictLeaf(one), FatalError);
+    EXPECT_THROW(tree.decisionPath(one), FatalError);
+    EXPECT_THROW(tree.predict(std::span<const double>()), FatalError);
+    ml::Dataset narrowSet({"f0"});
+    narrowSet.addRow({1.0}, 0.0);
+    EXPECT_THROW(tree.predict(narrowSet), FatalError);
 
-    std::vector<double> single(d.size());
-    for (std::size_t i = 0; i < d.size(); ++i)
-        single[i] = compiled.predict(d.row(i));
-
-    const auto flat = d.toRowMajor();
-    for (int threads : {1, 2, parallel::maxThreads()}) {
-        parallel::setMaxThreads(threads);
-        std::vector<double> batch(d.size());
-        compiled.predictBatch(flat, d.numFeatures(), batch);
-        EXPECT_EQ(batch, single) << "threads=" << threads;
-    }
-    parallel::setMaxThreads(0);  // restore the environment default
+    // Wider rows are a batch-layout error too; a single longer row is
+    // fine (the walk reads only the first numFeatures() values).
+    const std::vector<double> wide{1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+                                   7.0, 8.0, 9.0};
+    EXPECT_THROW(tree.predictBatch(wide, 3, out), FatalError);
+    const std::vector<double> longRow{1.0, 2.0, 99.0};
+    EXPECT_EQ(tree.predict(longRow),
+              tree.predict(std::span<const double>(longRow).first(2)));
 }
 
 /**
- * Every batch size from 1 to 70 rows: sizes below 32 run the 16/8/4/2/1
- * block cascade, larger ones full 32-row blocks plus the backward
- * overlap of a partial final block. Each size is a fresh batch (a
- * prefix of one probe set, NaNs included) checked row by row.
+ * Every batch size from 1 to 70 rows: each size is a fresh batch (a
+ * prefix of one probe set, on-threshold probes first, NaNs included)
+ * checked row by row against the reference walk.
  */
-TEST(CompiledInference, EveryBatchSizeMatchesOracle)
+TEST(TreeInference, EveryBatchSizeMatchesReferenceWalk)
 {
     Rng rng(1357);
     const std::size_t features = 6;
@@ -202,7 +224,6 @@ TEST(CompiledInference, EveryBatchSizeMatchesOracle)
     tp.maxDepth = 8;
     ml::DecisionTreeRegressor tree(tp);
     tree.fit(d);
-    const ml::CompiledTree compiledTree(tree);
 
     // On-threshold probes first (probesFor appends them after the 70
     // random ones), then random ones up to 70 rows.
@@ -214,16 +235,16 @@ TEST(CompiledInference, EveryBatchSizeMatchesOracle)
     for (std::size_t rows = 1; rows <= probes.size(); ++rows) {
         const std::span<const double> batch(flat.data(), rows * features);
         std::vector<double> out(rows);
-        compiledTree.predictBatch(batch, features, out);
+        tree.predictBatch(batch, features, out);
         for (std::size_t r = 0; r < rows; ++r)
-            ASSERT_EQ(tree.predict(probes[r]), out[r])
+            ASSERT_EQ(referencePredict(tree, probes[r]), out[r])
                 << "batch " << rows << ", row " << r;
     }
 }
 
-/** The real campaign: the compiled engine must reproduce the node walk
- * bit for bit on every measured data point. */
-TEST(CompiledInference, CampaignDatasetPinned)
+/** The real campaign: the tree must reproduce the reference walk bit
+ * for bit on every measured data point. */
+TEST(TreeInference, CampaignDatasetPinned)
 {
     predictor::DataCollector collector;
     const auto points = collector.collectAll(
@@ -232,8 +253,10 @@ TEST(CompiledInference, CampaignDatasetPinned)
 
     ml::DecisionTreeRegressor tree;
     tree.fit(raw);
-    const ml::CompiledTree compiledTree(tree);
-    EXPECT_EQ(tree.predict(raw), compiledTree.predict(raw));
+    const auto predicted = tree.predict(raw);
+    ASSERT_EQ(predicted.size(), raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i)
+        EXPECT_EQ(referencePredict(tree, raw.row(i)), predicted[i]);
 
     // The predictor's batched entry points agree with its
     // per-point predictions (and with each other).
@@ -255,7 +278,7 @@ TEST(CompiledInference, CampaignDatasetPinned)
 
 /** Batched scheduler scoring must pick the same pairings as per-bag
  * prediction. */
-TEST(CompiledInference, SchedulerBatchedScoringMatchesPredictBag)
+TEST(TreeInference, SchedulerBatchedScoringMatchesPredictBag)
 {
     predictor::DataCollector collector;
     const auto points = collector.collectAll(
