@@ -3,8 +3,10 @@
  * vision primitives whose bits a trace cannot see (gradient magnitude
  * and orientation, HoG and SIFT descriptors), the Table-IV campaign
  * dataset, the fitted default tree, its 91 predictions, the two
- * headline LOOCV means, Section V-D's SVR LOOCV mean and the answers
- * the serve front end gives to a fixed list of request lines. A
+ * headline LOOCV means, Section V-D's SVR LOOCV mean, the answers
+ * the serve front end gives to a fixed list of request lines and the
+ * model's explanations, decision paths, audit records and quality
+ * telemetry. A
  * refactor that claims to change no behaviour proves it by leaving
  * every pin green. The suite is registered at MAPP_THREADS=1 and =4
  * because every figure must be identical at any lane count. A change
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -31,8 +34,11 @@
 #include "ml/metrics.h"
 #include "ml/model_binary.h"
 #include "ml/svr.h"
+#include "obs/audit.h"
 #include "predictor/data_collection.h"
+#include "predictor/decision_analysis.h"
 #include "predictor/predictor.h"
+#include "predictor/quality.h"
 #include "predictor/schemes.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -61,6 +67,19 @@ constexpr std::uint64_t kSvrLoocvBits = 0x407387995d55b1ccull;  // 312.475 %
 // Hasher digest of the predicted_seconds bits of the serve answers to
 // servedLines(), in id order.
 constexpr std::uint64_t kServeAnswersHash = 0xb884b3044cb16f94ull;
+// Hasher digest of explain() over the 91 campaign points: the
+// predicted and uncertainty bits and the path summary of each.
+constexpr std::uint64_t kExplanationsHash = 0x8d9903fe2af0d65dull;
+// Hasher digest of analyzeDecisionPaths(campaign, defaults, all nine
+// benchmarks): every point's label and counts, then presence, mean
+// and max per feature.
+constexpr std::uint64_t kDecisionPathsHash = 0xe3f567bbf41a0d94ull;
+// Order-free digest of the audit records one full-scheme LOOCV writes
+// at sample period 1: features, path summary and actual seconds.
+constexpr std::uint64_t kLoocvAuditHash = 0x1585c35bbcf438faull;
+// Hasher digest of the quality monitor after that LOOCV (from reset):
+// pairsSeen() and every driftFlags(0.0) entry.
+constexpr std::uint64_t kLoocvQualityHash = 0xa0cf24e149d164dcull;
 
 /** Hasher digest of traceToBinary(profileWorkload(benchmark, batch)). */
 struct TracePin
@@ -224,14 +243,21 @@ hogDigest(const vision::HogParams& params)
     return h.digest();
 }
 
-double
-loocvMean(const predictor::PredictorParams& params)
+/** The nine benchmark names, in the paper's order. */
+std::vector<std::string>
+benchmarkNames()
 {
     std::vector<std::string> names;
     for (auto id : vision::kAllBenchmarks)
         names.push_back(vision::benchmarkName(id));
-    return predictor::MultiAppPredictor::looBenchmarkCv(campaign(), params,
-                                                        names)
+    return names;
+}
+
+double
+loocvMean(const predictor::PredictorParams& params)
+{
+    return predictor::MultiAppPredictor::looBenchmarkCv(
+               campaign(), params, benchmarkNames())
         .meanRelativeError();
 }
 
@@ -479,6 +505,86 @@ TEST(Golden, ServeAnswers)
     }
     EXPECT_EQ(lines.size() - 1 + 8, rows);
     EXPECT_EQ(hex(kServeAnswersHash), hex(h.digest()));
+}
+
+TEST(Golden, ExplanationsAndDecisionPaths)
+{
+    cache::Hasher explain_h;
+    for (const auto& point : campaignPoints()) {
+        const auto e = model().explain(point);
+        explain_h.add(std::bit_cast<std::uint64_t>(e.predictedSeconds));
+        explain_h.add(std::bit_cast<std::uint64_t>(e.uncertaintySeconds));
+        explain_h.add(std::string_view(e.pathSummary));
+    }
+    EXPECT_EQ(hex(kExplanationsHash), hex(explain_h.digest()));
+
+    const auto stats = predictor::analyzeDecisionPaths(
+        campaign(), predictor::PredictorParams{}, benchmarkNames());
+    cache::Hasher paths_h;
+    paths_h.add(static_cast<std::uint64_t>(stats.points.size()));
+    for (const auto& point : stats.points) {
+        paths_h.add(std::string_view(point.pointLabel));
+        paths_h.add(static_cast<std::uint64_t>(point.counts.size()));
+        for (const auto& [feature, count] : point.counts) {
+            paths_h.add(std::string_view(feature));
+            paths_h.add(static_cast<std::uint64_t>(count));
+        }
+    }
+    for (const auto& feature : stats.features) {
+        paths_h.add(std::string_view(feature));
+        paths_h.add(std::bit_cast<std::uint64_t>(
+            stats.presencePercent.at(feature)));
+        paths_h.add(
+            std::bit_cast<std::uint64_t>(stats.meanUsage.at(feature)));
+        paths_h.add(static_cast<std::uint64_t>(stats.maxUsage.at(feature)));
+    }
+    EXPECT_EQ(hex(kDecisionPathsHash), hex(paths_h.digest()));
+
+    // One full-scheme LOOCV with every prediction audited. Folds run
+    // concurrently, so sequence ids interleave: the audit digest is
+    // taken over the sorted per-record digests. The quality monitor
+    // keeps integer counts, which fold order cannot move.
+    auto& monitor = predictor::ModelQualityMonitor::global();
+    auto& log = obs::predictionLog();
+    const std::uint64_t period = log.samplePeriod();
+    monitor.reset();
+    log.clear();
+    log.setSamplePeriod(1);
+    log.setEnabled(true);
+    predictor::MultiAppPredictor::looBenchmarkCv(
+        campaign(), predictor::PredictorParams{}, benchmarkNames());
+    log.setEnabled(false);
+    log.setSamplePeriod(period);
+
+    const auto records = log.snapshot();
+    ASSERT_EQ(log.totalRecorded(), records.size()) << "ring evicted";
+    std::vector<std::uint64_t> digests;
+    for (const auto& r : records) {
+        EXPECT_TRUE(r.hasActual()) << "record " << r.seq;
+        cache::Hasher h;
+        h.add(std::span<const double>(r.features));
+        h.add(std::string_view(r.pathSummary));
+        h.add(std::bit_cast<std::uint64_t>(r.actualSeconds));
+        digests.push_back(h.digest());
+    }
+    log.clear();
+    std::sort(digests.begin(), digests.end());
+    cache::Hasher audit_h;
+    audit_h.add(static_cast<std::uint64_t>(digests.size()));
+    for (const std::uint64_t d : digests)
+        audit_h.add(d);
+    EXPECT_EQ(hex(kLoocvAuditHash), hex(audit_h.digest()))
+        << records.size() << " records";
+
+    cache::Hasher quality_h;
+    quality_h.add(monitor.pairsSeen());
+    for (const auto& flag : monitor.driftFlags(0.0)) {
+        quality_h.add(std::string_view(flag.feature));
+        quality_h.add(std::bit_cast<std::uint64_t>(flag.outOfRangeFraction));
+        quality_h.add(flag.rowsSeen);
+    }
+    EXPECT_EQ(hex(kLoocvQualityHash), hex(quality_h.digest()))
+        << monitor.pairsSeen() << " pairs";
 }
 
 }  // namespace
