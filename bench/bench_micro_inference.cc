@@ -10,10 +10,10 @@
  *   --iters=<n>     scale all repetition counts (default 2000; the
  *                   bench_smoke ctest entry passes a tiny value so the
  *                   whole path is compile- and run-checked in tier 1).
- *   --json-out=<f>  where to write the gauge snapshot (default
- *                   BENCH_inference.json; empty disables). The
- *                   sidecar <binary>.metrics.json still appears
- *                   independently.
+ *   --json-out=<f>  also write the gauge snapshot to <f> (default: no
+ *                   file, so a run never overwrites the tracked
+ *                   BENCH_inference.json). The sidecar
+ *                   <binary>.metrics.json still appears independently.
  */
 
 #include <algorithm>
@@ -76,7 +76,7 @@ int
 main(int argc, char** argv)
 {
     long iters = 2000;
-    std::string jsonOut = "BENCH_inference.json";
+    std::string jsonOut;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--json-out=", 0) == 0) {

@@ -16,8 +16,9 @@
  *                   bench_micro_sim_smoke ctest entry passes a tiny
  *                   value so the path is compile- and run-checked in
  *                   tier 1).
- *   --json-out=<f>  where to write the gauge snapshot (default
- *                   BENCH_sim.json; empty disables).
+ *   --json-out=<f>  also write the gauge snapshot to <f> (default: no
+ *                   file, so a run never overwrites the tracked
+ *                   BENCH_sim.json).
  */
 
 #include <chrono>
@@ -94,7 +95,7 @@ int
 main(int argc, char** argv)
 {
     long iters = 200;
-    std::string jsonOut = "BENCH_sim.json";
+    std::string jsonOut;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--iters=", 0) == 0) {

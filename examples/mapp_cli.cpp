@@ -391,8 +391,7 @@ cmdPredict(const std::string& a, const std::string& b)
     const auto e = model.explain(truth);
     // The measured bag doubles as ground truth for the online quality
     // monitor (error histograms, drift gauges, audit annotation).
-    const auto evalSet = predictor::toDataset({truth});
-    model.observeGroundTruth(evalSet, model.predictDataset(evalSet));
+    model.evaluate(predictor::toDataset({truth}));
     std::printf("bag %s\n", spec.canonical().label().c_str());
     std::printf("  predicted GPU time : %.6f s\n", e.predictedSeconds);
     std::printf("  uncertainty (RMSE) : %.6f s\n",

@@ -62,16 +62,6 @@ setMaxThreads(int threads)
                               std::memory_order_relaxed);
 }
 
-bool
-enabled()
-{
-#ifdef MAPP_PARALLEL_ENABLED
-    return maxThreads() > 1;
-#else
-    return false;
-#endif
-}
-
 ThreadPool::ThreadPool(int workers)
 {
     const int n = workers > 0 ? workers : 0;
@@ -184,8 +174,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)>& body)
     if (n == 0)
         return;
 
-    const auto lanes =
-        enabled() ? static_cast<std::size_t>(maxThreads()) : 1;
+    const auto lanes = static_cast<std::size_t>(maxThreads());
     if (lanes <= 1 || n == 1 ||
         gPoolRetired.load(std::memory_order_relaxed)) {
         for (std::size_t i = 0; i < n; ++i)

@@ -21,9 +21,6 @@
  *  - Exceptions thrown by a body are captured, the remaining iterations
  *    are drained, and the first captured exception is rethrown on the
  *    calling thread.
- *
- * Built with -DMAPP_PARALLEL=OFF every helper runs inline and no thread
- * is ever spawned.
  */
 
 #ifndef MAPP_COMMON_PARALLEL_H
@@ -96,9 +93,6 @@ int maxThreads();
  * kept; a lower value simply stops handing them work.
  */
 void setMaxThreads(int threads);
-
-/** True when built with MAPP_PARALLEL and maxThreads() > 1. */
-bool enabled();
 
 /**
  * The process-wide pool, lazily constructed with maxThreads()-1 workers

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "common/log.h"
-
 namespace mapp::predictor {
 
 DecisionPathStats
@@ -25,23 +23,14 @@ analyzeDecisionPaths(const ml::Dataset& raw, const PredictorParams& params,
         MultiAppPredictor model(params);
         model.train(train);
 
-        const ml::Dataset projected =
-            test.selectFeatures(params.scheme.featureNames());
-        const auto& names = projected.featureNames();
-
-        // Recreate the fold's normalization (same rule and data as the
-        // model applied internally during train()), applied to the
-        // whole fold in place instead of per-row temporaries.
-        RangeNormalizer norm;
-        norm.fit(train.selectFeatures(params.scheme.featureNames()));
-        auto flat = projected.toRowMajor();
-        norm.applyBatchInPlace(
-            flat, RangeNormalizer::timeFeatureMask(names));
+        // The fold model's own input rows: the rows its predictions
+        // walk, normalized with the fold's training range.
+        const auto rows = model.inputRows(test);
         const auto& tree = model.tree();
-
-        const std::size_t nF = projected.numFeatures();
-        for (std::size_t i = 0; i < projected.size(); ++i) {
-            const std::span<const double> row(flat.data() + i * nF, nF);
+        const auto& names = tree.featureNames();
+        const std::size_t nF = names.size();
+        for (std::size_t i = 0; i < test.size(); ++i) {
+            const std::span<const double> row(rows.data() + i * nF, nF);
 
             PathUsage usage;
             usage.pointLabel =

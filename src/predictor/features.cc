@@ -16,10 +16,10 @@ baseFeatureNames()
 }
 
 std::vector<std::string>
-bagFeatureNames()
+bagFeatureNames(int slots)
 {
     std::vector<std::string> names;
-    for (int slot = 0; slot < kBagSize; ++slot)
+    for (int slot = 0; slot < slots; ++slot)
         for (const auto& base : baseFeatureNames())
             names.push_back("a" + std::to_string(slot) + "_" + base);
     names.push_back("fairness");
@@ -37,20 +37,31 @@ baseNameOf(const std::string& bag_feature)
     return bag_feature;
 }
 
+void
+writeAppBlock(const AppFeatures& app, std::span<double> out)
+{
+    std::size_t k = 0;
+    out[k++] = app.cpuTime;
+    out[k++] = app.gpuTime;
+    for (isa::InstClass c : isa::kAllInstClasses)
+        out[k++] = app.mixPercent[static_cast<std::size_t>(c)];
+}
+
+void
+writeBagVector(const AppFeatures& a, const AppFeatures& b,
+               double fairness, std::span<double, kBagFeatureCount> out)
+{
+    writeAppBlock(a, out.first(kBaseFeatureCount));
+    writeAppBlock(b, out.subspan(kBaseFeatureCount, kBaseFeatureCount));
+    out.back() = fairness;
+}
+
 std::vector<double>
 buildBagVector(const AppFeatures& a, const AppFeatures& b, double fairness)
 {
-    auto appendBlock = [](std::vector<double>& out, const AppFeatures& f) {
-        out.push_back(f.cpuTime);
-        out.push_back(f.gpuTime);
-        for (isa::InstClass c : isa::kAllInstClasses)
-            out.push_back(f.mixPercent[static_cast<std::size_t>(c)]);
-    };
-    std::vector<double> out;
-    out.reserve(kBagFeatureCount);
-    appendBlock(out, a);
-    appendBlock(out, b);
-    out.push_back(fairness);
+    std::vector<double> out(kBagFeatureCount);
+    writeBagVector(a, b, fairness,
+                   std::span<double, kBagFeatureCount>(out));
     return out;
 }
 
@@ -87,13 +98,13 @@ RangeNormalizer::fit(const ml::Dataset& train)
 ml::Dataset
 RangeNormalizer::apply(const ml::Dataset& data) const
 {
+    const auto mask = timeFeatureMask(data.featureNames());
     ml::Dataset out(data.featureNames());
     for (std::size_t r = 0; r < data.size(); ++r) {
         std::vector<double> row = data.row(r);
-        for (std::size_t f = 0; f < row.size(); ++f)
-            if (isTimeFeature(data.featureNames()[f]))
-                row[f] /= scale_;
-        out.addRow(std::move(row), data.target(r) / scale_, data.group(r));
+        applyBatchInPlace(row, mask);
+        out.addRow(std::move(row), normalizeTarget(data.target(r)),
+                   data.group(r));
     }
     return out;
 }
@@ -132,18 +143,6 @@ RangeNormalizer::denormalizeInPlace(std::span<double> values) const
 {
     for (double& v : values)
         v *= scale_;
-}
-
-std::vector<double>
-RangeNormalizer::applyRow(const ml::Dataset& reference,
-                          std::vector<double> row) const
-{
-    if (row.size() != reference.numFeatures())
-        fatal("RangeNormalizer::applyRow: feature count mismatch");
-    for (std::size_t f = 0; f < row.size(); ++f)
-        if (isTimeFeature(reference.featureNames()[f]))
-            row[f] /= scale_;
-    return row;
 }
 
 }  // namespace mapp::predictor

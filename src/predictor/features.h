@@ -50,8 +50,11 @@ inline constexpr std::size_t kBaseFeatureCount =
 inline constexpr std::size_t kBagFeatureCount =
     static_cast<std::size_t>(kBagSize) * kBaseFeatureCount + 1;
 
-/** Full bag feature names: a0_*, a1_*, fairness. */
-std::vector<std::string> bagFeatureNames();
+/**
+ * Bag feature names for @p slots apps: a0_*, a1_*, ..., fairness. The
+ * default is the paper's pair; k-bags (kbag.h) pass their k.
+ */
+std::vector<std::string> bagFeatureNames(int slots = kBagSize);
 
 /**
  * Strip the slot prefix: "a1_gpu_time" -> "gpu_time"; "fairness" maps to
@@ -60,10 +63,22 @@ std::vector<std::string> bagFeatureNames();
 std::string baseNameOf(const std::string& bag_feature);
 
 /**
- * Build the flat bag feature vector: the two apps' blocks (apps must
- * already be in canonical order) followed by fairness. Layout matches
- * bagFeatureNames().
+ * Write one app's block (baseFeatureNames() order) into @p out, which
+ * holds kBaseFeatureCount values. Slot s of a bag vector is this block
+ * at offset s * kBaseFeatureCount.
  */
+void writeAppBlock(const AppFeatures& app, std::span<double> out);
+
+/**
+ * Write the pair's bag feature vector into @p out: the two apps' blocks
+ * (apps must already be in canonical order) followed by fairness.
+ * Layout matches bagFeatureNames().
+ */
+void writeBagVector(const AppFeatures& a, const AppFeatures& b,
+                    double fairness,
+                    std::span<double, kBagFeatureCount> out);
+
+/** writeBagVector() into a new vector. */
 std::vector<double> buildBagVector(const AppFeatures& a,
                                    const AppFeatures& b, double fairness);
 
@@ -84,12 +99,9 @@ class RangeNormalizer
     /** The learned scale (max - min of CPU time; 1 if degenerate). */
     double scale() const { return scale_; }
 
-    /** A copy of @p data with time features and targets scaled. */
+    /** A copy of @p data with time features and targets scaled, row
+     *  by row through applyBatchInPlace(). */
     ml::Dataset apply(const ml::Dataset& data) const;
-
-    /** Scale one raw feature vector laid out like the dataset. */
-    std::vector<double> applyRow(const ml::Dataset& reference,
-                                 std::vector<double> row) const;
 
     /**
      * Which features of a layout are time-typed (1 = scaled by the

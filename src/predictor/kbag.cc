@@ -9,6 +9,22 @@
 
 namespace mapp::predictor {
 
+namespace {
+
+/** Write @p point's feature vector (layout bagFeatureNames(k)) into
+ *  @p out, which holds k * kBaseFeatureCount + 1 values. */
+void
+writeKBagVector(const KBagPoint& point, std::span<double> out)
+{
+    for (std::size_t slot = 0; slot < point.apps.size(); ++slot)
+        writeAppBlock(point.apps[slot],
+                      out.subspan(slot * kBaseFeatureCount,
+                                  kBaseFeatureCount));
+    out.back() = point.fairness;
+}
+
+}  // namespace
+
 KBagSpec
 KBagSpec::canonical() const
 {
@@ -40,32 +56,6 @@ KBagSpec::groupLabel() const
         os << vision::benchmarkName(members[i].id);
     }
     return os.str();
-}
-
-std::vector<std::string>
-kBagFeatureNames(int k)
-{
-    std::vector<std::string> names;
-    for (int slot = 0; slot < k; ++slot)
-        for (const auto& base : baseFeatureNames())
-            names.push_back("a" + std::to_string(slot) + "_" + base);
-    names.push_back("fairness");
-    return names;
-}
-
-std::vector<double>
-buildKBagVector(const KBagPoint& point)
-{
-    std::vector<double> out;
-    out.reserve(point.apps.size() * kBaseFeatureCount + 1);
-    for (const auto& app : point.apps) {
-        out.push_back(app.cpuTime);
-        out.push_back(app.gpuTime);
-        for (isa::InstClass c : isa::kAllInstClasses)
-            out.push_back(app.mixPercent[static_cast<std::size_t>(c)]);
-    }
-    out.push_back(point.fairness);
-    return out;
 }
 
 KBagPoint
@@ -133,7 +123,7 @@ KBagCollector::campaign(int k, int hetero_count,
 
 KBagPredictor::KBagPredictor(int k, ml::DecisionTreeParams tree)
     : k_(k), treeParams_(tree),
-      timeMask_(RangeNormalizer::timeFeatureMask(kBagFeatureNames(k)))
+      timeMask_(RangeNormalizer::timeFeatureMask(bagFeatureNames(k)))
 {
     if (k < 2)
         fatal("KBagPredictor: k must be >= 2");
@@ -145,11 +135,13 @@ KBagPredictor::train(const std::vector<KBagPoint>& points)
     if (points.empty())
         fatal("KBagPredictor::train: empty training data");
 
-    ml::Dataset raw(kBagFeatureNames(k_));
+    ml::Dataset raw(bagFeatureNames(k_));
     for (const auto& point : points) {
         if (static_cast<int>(point.apps.size()) != k_)
             fatal("KBagPredictor::train: bag size mismatch");
-        raw.addRow(buildKBagVector(point), point.gpuBagTime,
+        std::vector<double> row(timeMask_.size());
+        writeKBagVector(point, row);
+        raw.addRow(std::move(row), point.gpuBagTime,
                    point.spec.groupLabel());
     }
 
@@ -163,33 +155,25 @@ KBagPredictor::train(const std::vector<KBagPoint>& points)
 double
 KBagPredictor::predict(const KBagPoint& point) const
 {
-    if (!tree_.trained())
-        fatal("KBagPredictor::predict: model not trained");
-    if (static_cast<int>(point.apps.size()) != k_)
-        fatal("KBagPredictor::predict: bag size mismatch");
-
-    auto row = buildKBagVector(point);
-    normalizer_.applyBatchInPlace(row, timeMask_);
-    return normalizer_.denormalizeTarget(tree_.predict(row));
+    return predictBatch({&point, 1}).front();
 }
 
 std::vector<double>
-KBagPredictor::predictBatch(const std::vector<KBagPoint>& points) const
+KBagPredictor::predictBatch(std::span<const KBagPoint> points) const
 {
     if (!tree_.trained())
-        fatal("KBagPredictor::predictBatch: model not trained");
+        fatal("KBagPredictor::predict: model not trained");
     const std::size_t nF = timeMask_.size();
-    std::vector<double> flat;
-    flat.reserve(points.size() * nF);
-    for (const auto& point : points) {
-        if (static_cast<int>(point.apps.size()) != k_)
-            fatal("KBagPredictor::predictBatch: bag size mismatch");
-        const auto row = buildKBagVector(point);
-        flat.insert(flat.end(), row.begin(), row.end());
+    std::vector<double> rows(points.size() * nF);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (static_cast<int>(points[i].apps.size()) != k_)
+            fatal("KBagPredictor::predict: bag size mismatch");
+        writeKBagVector(points[i],
+                        std::span<double>(rows).subspan(i * nF, nF));
     }
-    normalizer_.applyBatchInPlace(flat, timeMask_);
+    normalizer_.applyBatchInPlace(rows, timeMask_);
     std::vector<double> out(points.size());
-    tree_.predictBatch(flat, nF, out);
+    tree_.predictBatch(rows, nF, out);
     normalizer_.denormalizeInPlace(out);
     return out;
 }

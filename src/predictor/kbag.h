@@ -12,7 +12,7 @@
 #ifndef MAPP_PREDICTOR_KBAG_H
 #define MAPP_PREDICTOR_KBAG_H
 
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,12 +44,6 @@ struct KBagPoint
     double fairness = 0.0;
     Seconds gpuBagTime = 0.0;
 };
-
-/** Feature names for bags of size k: a0_*..a{k-1}_* + fairness. */
-std::vector<std::string> kBagFeatureNames(int k);
-
-/** Flat feature vector for a measured k-bag point. */
-std::vector<double> buildKBagVector(const KBagPoint& point);
 
 /** Measures k-bags on the simulated testbed via a DataCollector. */
 class KBagCollector
@@ -88,15 +82,18 @@ class KBagPredictor
      * any point's bag size differs from k. */
     void train(const std::vector<KBagPoint>& points);
 
-    /** Predict the GPU makespan of a measured k-bag's inputs. */
+    /** Predict the GPU makespan of a measured k-bag's inputs: a
+     *  predictBatch() of one. */
     double predict(const KBagPoint& point) const;
 
     /**
-     * Predict a batch of k-bags through one predictBatch() call;
-     * element i equals predict(points[i]) bit for bit.
+     * Predict a batch of k-bags: one row loop into a row-major buffer,
+     * one normalization pass and one tree predictBatch() call; element
+     * i equals predict(points[i]) bit for bit. @throws FatalError if
+     * untrained or any point's bag size differs from k.
      */
     std::vector<double> predictBatch(
-        const std::vector<KBagPoint>& points) const;
+        std::span<const KBagPoint> points) const;
 
     bool trained() const { return tree_.trained(); }
 

@@ -1,6 +1,7 @@
 #include "predictor/predictor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -47,33 +48,45 @@ modelKey(const ml::Dataset& raw, const ml::DecisionTreeParams& tree,
 MultiAppPredictor::MultiAppPredictor(PredictorParams params)
     : params_(std::move(params))
 {
-    // Resolve the scheme's projection once: feature name -> index in
-    // the full bag vector, plus the time-feature flags batch
-    // normalization needs. Every predict() after this is free of
-    // string handling and Dataset temporaries.
+    // Resolve the scheme against the bag layout once, plus the
+    // time-feature flags of the normalization pass: a what-if query
+    // is assembled with no string handling.
     schemeNames_ = params_.scheme.featureNames();
-    const auto bagNames = bagFeatureNames();
-    projection_.reserve(schemeNames_.size());
-    for (const auto& name : schemeNames_) {
-        const auto it =
-            std::find(bagNames.begin(), bagNames.end(), name);
-        if (it == bagNames.end())
-            fatal("MultiAppPredictor: scheme feature '" + name +
-                  "' is not a bag feature");
-        projection_.push_back(
-            static_cast<std::size_t>(it - bagNames.begin()));
-    }
+    projection_ = schemeColumns(bagFeatureNames());
     timeMask_ = RangeNormalizer::timeFeatureMask(schemeNames_);
 }
 
-ml::Dataset
-MultiAppPredictor::projectAndNormalizeTrain(const ml::Dataset& raw)
+std::vector<std::size_t>
+MultiAppPredictor::schemeColumns(
+    const std::vector<std::string>& layout) const
 {
-    const ml::Dataset projected =
-        raw.selectFeatures(params_.scheme.featureNames());
-    normalizer_ = RangeNormalizer();
-    normalizer_.fit(projected);
-    return normalizer_.apply(projected);
+    std::vector<std::size_t> columns;
+    columns.reserve(schemeNames_.size());
+    for (const auto& name : schemeNames_) {
+        const auto it = std::find(layout.begin(), layout.end(), name);
+        if (it == layout.end())
+            fatal("MultiAppPredictor: the input has no column '" + name +
+                  "' of the feature scheme");
+        columns.push_back(static_cast<std::size_t>(it - layout.begin()));
+    }
+    return columns;
+}
+
+template <typename RawRow>
+std::vector<double>
+MultiAppPredictor::assembleRows(std::size_t nRows,
+                                std::span<const std::size_t> columns,
+                                RawRow&& rawRow) const
+{
+    const std::size_t nF = columns.size();
+    std::vector<double> rows(nRows * nF);
+    for (std::size_t r = 0; r < nRows; ++r) {
+        const std::span<const double> raw = rawRow(r);
+        for (std::size_t k = 0; k < nF; ++k)
+            rows[r * nF + k] = raw[columns[k]];
+    }
+    normalizer_.applyBatchInPlace(rows, timeMask_);
+    return rows;
 }
 
 void
@@ -88,8 +101,10 @@ MultiAppPredictor::train(const ml::Dataset& raw)
     if (raw.empty())
         fatal("MultiAppPredictor::train: empty dataset");
     const obs::ScopedPhase phase("tree-training");
-    const ml::Dataset prepared = projectAndNormalizeTrain(raw);
-    trainLayout_ = ml::Dataset(prepared.featureNames());
+    const ml::Dataset projected = raw.selectFeatures(schemeNames_);
+    normalizer_ = RangeNormalizer();
+    normalizer_.fit(projected);
+    const ml::Dataset prepared = normalizer_.apply(projected);
 
     // Model artifacts: a warm process reconstructs the fitted tree
     // from its binary record instead of refitting; the normalizer and
@@ -162,7 +177,7 @@ MultiAppPredictor::buildAuditTables(const ml::Dataset& prepared)
     }
 }
 
-std::uint64_t
+std::optional<std::uint64_t>
 MultiAppPredictor::auditRows(const char* model,
                              std::span<const double> flat,
                              std::size_t nFeatures,
@@ -170,7 +185,7 @@ MultiAppPredictor::auditRows(const char* model,
 {
     obs::PredictionLog& log = obs::predictionLog();
     if (!log.enabled() || outSeconds.empty())
-        return 0;
+        return std::nullopt;
     const auto n = static_cast<std::uint64_t>(outSeconds.size());
     const std::uint64_t first = log.reserve(n);
     const std::uint64_t period = log.samplePeriod();
@@ -213,17 +228,36 @@ MultiAppPredictor::auditRows(const char* model,
 }
 
 std::vector<double>
-MultiAppPredictor::queryRow(const AppFeatures& a, const AppFeatures& b,
-                            double fairness) const
+MultiAppPredictor::inputRows(const ml::Dataset& raw) const
 {
-    const auto full = buildBagVector(a, b, fairness);
-    std::vector<double> row(projection_.size());
-    for (std::size_t k = 0; k < projection_.size(); ++k) {
-        row[k] = full[projection_[k]];
-        if (timeMask_[k])
-            row[k] /= normalizer_.scale();
-    }
-    return row;
+    if (!trained())
+        fatal("MultiAppPredictor::inputRows: model not trained");
+    return assembleRows(raw.size(), schemeColumns(raw.featureNames()),
+                        [&](std::size_t r) {
+                            return std::span<const double>(raw.row(r));
+                        });
+}
+
+std::vector<double>
+MultiAppPredictor::bagRow(const AppFeatures& a, const AppFeatures& b,
+                          double fairness) const
+{
+    std::array<double, kBagFeatureCount> bag{};
+    writeBagVector(a, b, fairness, bag);
+    return assembleRows(1, projection_, [&](std::size_t) {
+        return std::span<const double>(bag);
+    });
+}
+
+std::optional<std::uint64_t>
+MultiAppPredictor::predictRows(const char* model,
+                               std::span<const double> rows,
+                               std::span<double> outSeconds) const
+{
+    const std::size_t nF = schemeNames_.size();
+    tree_->predictBatch(rows, nF, outSeconds);
+    normalizer_.denormalizeInPlace(outSeconds);
+    return auditRows(model, rows, nF, outSeconds);
 }
 
 double
@@ -232,7 +266,7 @@ MultiAppPredictor::predict(const AppFeatures& a, const AppFeatures& b,
 {
     if (!trained())
         fatal("MultiAppPredictor::predict: model not trained");
-    const auto row = queryRow(a, b, fairness);
+    const auto row = bagRow(a, b, fairness);
     const double out =
         normalizer_.denormalizeTarget(tree_->predict(row));
     auditRows("single", row, row.size(), {&out, 1});
@@ -244,75 +278,47 @@ MultiAppPredictor::predictBatch(const std::vector<BagQuery>& queries) const
 {
     if (!trained())
         fatal("MultiAppPredictor::predictBatch: model not trained");
-    const std::size_t nF = projection_.size();
-    std::vector<double> flat(queries.size() * nF);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        const auto full = buildBagVector(queries[q].a, queries[q].b,
-                                         queries[q].fairness);
-        for (std::size_t k = 0; k < nF; ++k)
-            flat[q * nF + k] = full[projection_[k]];
-    }
-    normalizer_.applyBatchInPlace(flat, timeMask_);
+    std::array<double, kBagFeatureCount> bag{};
+    const auto rows =
+        assembleRows(queries.size(), projection_, [&](std::size_t q) {
+            writeBagVector(queries[q].a, queries[q].b,
+                           queries[q].fairness, bag);
+            return std::span<const double>(bag);
+        });
     std::vector<double> out(queries.size());
-    tree_->predictBatch(flat, nF, out);
-    normalizer_.denormalizeInPlace(out);
-    auditRows("batch", flat, nF, out);
+    predictRows("batch", rows, out);
     return out;
 }
 
 std::vector<double>
 MultiAppPredictor::predictDataset(const ml::Dataset& raw_test) const
 {
-    if (!trained())
-        fatal("MultiAppPredictor::predictDataset: model not trained");
-    const ml::Dataset projected = raw_test.selectFeatures(schemeNames_);
-    auto flat = projected.toRowMajor();
-    normalizer_.applyBatchInPlace(flat, timeMask_);
-    std::vector<double> out(projected.size());
-    tree_->predictBatch(flat, projected.numFeatures(), out);
-    normalizer_.denormalizeInPlace(out);
-    // Remember the audit range so observeGroundTruth() can annotate
-    // this batch's records once the actual times are known.
-    const bool audited = obs::predictionLog().enabled();
-    lastAuditFirstSeq_ =
-        auditRows("dataset", flat, projected.numFeatures(), out);
-    lastAuditRows_ = audited ? out.size() : 0;
+    const auto rows = inputRows(raw_test);
+    std::vector<double> out(raw_test.size());
+    predictRows("dataset", rows, out);
     return out;
 }
 
-void
-MultiAppPredictor::observeGroundTruth(
-    const ml::Dataset& raw_test,
-    std::span<const double> predictedSeconds) const
+std::vector<double>
+MultiAppPredictor::evaluate(const ml::Dataset& raw_test) const
 {
-    if (!trained())
-        fatal("MultiAppPredictor::observeGroundTruth: model not "
-              "trained");
-    if (raw_test.size() != predictedSeconds.size())
-        fatal("MultiAppPredictor::observeGroundTruth: prediction "
-              "count does not match the dataset");
-    if (raw_test.empty())
-        return;
+    const auto rows = inputRows(raw_test);
+    std::vector<double> out(raw_test.size());
+    const auto firstSeq = predictRows("dataset", rows, out);
+
     ModelQualityMonitor& monitor = ModelQualityMonitor::global();
-    monitor.observePairs(raw_test.targets(), predictedSeconds);
-
-    // Drift check runs on the same projected + normalized rows the
-    // model saw, against the training matrix's feature ranges.
-    const ml::Dataset projected = raw_test.selectFeatures(schemeNames_);
-    auto flat = projected.toRowMajor();
-    normalizer_.applyBatchInPlace(flat, timeMask_);
-    const std::size_t nF = projected.numFeatures();
-    for (std::size_t r = 0; r < projected.size(); ++r) {
+    monitor.observePairs(raw_test.targets(), out);
+    // Drift check on the rows the model saw, against the training
+    // matrix's feature ranges.
+    const std::size_t nF = schemeNames_.size();
+    for (std::size_t r = 0; r < out.size(); ++r) {
         monitor.observeFeatureRow(
-            std::span<const double>(flat).subspan(r * nF, nF),
-            trainMin_, trainMax_, schemeNames_);
+            std::span<const double>(rows).subspan(r * nF, nF), trainMin_,
+            trainMax_, schemeNames_);
     }
-
-    if (lastAuditRows_ == predictedSeconds.size() &&
-        lastAuditRows_ > 0) {
-        obs::predictionLog().annotate(lastAuditFirstSeq_,
-                                      raw_test.targets());
-    }
+    if (firstSeq)
+        obs::predictionLog().annotate(*firstSeq, raw_test.targets());
+    return out;
 }
 
 double
@@ -327,7 +333,7 @@ MultiAppPredictor::explain(const DataPoint& point) const
     if (!trained())
         fatal("MultiAppPredictor::explain: model not trained");
 
-    const auto row = queryRow(point.a, point.b, point.fairness);
+    const auto row = bagRow(point.a, point.b, point.fairness);
 
     Explanation e;
     const auto leaf = static_cast<std::size_t>(tree_->predictLeaf(row));
@@ -388,16 +394,13 @@ MultiAppPredictor::looBenchmarkCv(const ml::Dataset& raw,
             model.train(train);
 
             // Evaluate in raw target units (the normalizer
-            // round-trips): one batched project + normalize + tree
-            // walk over the whole fold.
-            const auto predictions = model.predictDataset(test);
+            // round-trips); the fold's held-out truth doubles as
+            // online quality telemetry.
+            const auto predictions = model.evaluate(test);
             fold.meanRelativeError = ml::meanRelativeErrorPercent(
                 test.targets(), predictions);
             fold.mse =
                 ml::meanSquaredError(test.targets(), predictions);
-            // The fold's held-out truth doubles as online quality
-            // telemetry: error histograms + drift gauges.
-            model.observeGroundTruth(test, predictions);
         }
         result.folds[f] = std::move(fold);
     });
@@ -415,8 +418,7 @@ MultiAppPredictor::holdoutRelativeError(const ml::Dataset& raw,
 
     MultiAppPredictor model(params);
     model.train(train);
-    const auto predictions = model.predictDataset(test);
-    model.observeGroundTruth(test, predictions);
+    const auto predictions = model.evaluate(test);
     return ml::meanRelativeErrorPercent(test.targets(), predictions);
 }
 

@@ -74,9 +74,9 @@ class MultiAppPredictor
                    double fairness) const;
 
     /**
-     * Predict a whole batch of what-if queries in one pass: one
-     * projection + normalization over a contiguous row-major buffer,
-     * then the tree's predictBatch(). Element i equals
+     * Predict a whole batch of what-if queries in one pass: the rows
+     * are assembled into one contiguous row-major buffer (no per-row
+     * allocation), then the tree's predictBatch(). Element i equals
      * predict(queries[i].a, queries[i].b, queries[i].fairness) bit
      * for bit.
      */
@@ -84,27 +84,35 @@ class MultiAppPredictor
         const std::vector<BagQuery>& queries) const;
 
     /**
-     * Predict every row of a raw (unnormalized, full-layout) dataset:
-     * project to the scheme, normalize the whole batch in place, run
-     * the tree's predictBatch(), denormalize in place. Used by the
-     * cross-validation fold evaluation and the figure benches.
+     * The model's input rows for a raw (unnormalized) dataset: the
+     * scheme's columns, looked up by name (any column order, extra
+     * columns ignored), range-normalized; row-major, scheme feature
+     * order. Every predict, explain and evaluate path builds its rows
+     * the same way. @throws FatalError if untrained or a scheme column
+     * is missing (the message names it).
+     */
+    std::vector<double> inputRows(const ml::Dataset& raw) const;
+
+    /**
+     * Predict every row of a raw dataset: inputRows(), the tree's
+     * predictBatch(), denormalized. Stateless; evaluate() is the same
+     * plus the ground-truth telemetry.
      */
     std::vector<double> predictDataset(const ml::Dataset& raw_test) const;
 
+    /**
+     * Predict a raw dataset whose targets are the measured truth and
+     * report it: the predictions (equal to predictDataset()'s) feed
+     * the global ModelQualityMonitor's error histograms, every input
+     * row is drift-checked against the training ranges, and when the
+     * prediction log is enabled the batch's audit records are
+     * annotated with their actual times. Used by the LOOCV folds, the
+     * holdout split and `mapp_cli predict`.
+     */
+    std::vector<double> evaluate(const ml::Dataset& raw_test) const;
+
     /** Predict with the decision path attached. */
     Explanation explain(const DataPoint& point) const;
-
-    /**
-     * Report ground truth for the most recent predictDataset() batch:
-     * feeds the global ModelQualityMonitor (error histograms, feature
-     * drift against the training normalization ranges) and, when the
-     * prediction log is enabled, annotates the batch's audited
-     * records with their actual times. @p predictedSeconds must be
-     * the vector predictDataset(@p raw_test) returned.
-     */
-    void observeGroundTruth(
-        const ml::Dataset& raw_test,
-        std::span<const double> predictedSeconds) const;
 
     /** Per-feature min of the normalized training matrix (drift
      *  reference; scheme feature order). */
@@ -152,13 +160,34 @@ class MultiAppPredictor
                                        double test_fraction, Rng& rng);
 
   private:
-    ml::Dataset projectAndNormalizeTrain(const ml::Dataset& raw);
+    /** Index in @p layout of every scheme feature, by name.
+     *  @throws FatalError naming the first missing one. */
+    std::vector<std::size_t> schemeColumns(
+        const std::vector<std::string>& layout) const;
 
-    /** Build one projected + normalized query row (no Dataset, no
-     *  string lookups — the single-query hot path). */
-    std::vector<double> queryRow(const AppFeatures& a,
-                                 const AppFeatures& b,
-                                 double fairness) const;
+    /**
+     * The one model-input path: row r of the result is the values of
+     * rawRow(r) at @p columns (scheme order), and the whole row-major
+     * batch is then range-normalized. rawRow(r) returns a span that
+     * only needs to stay valid until the next call.
+     */
+    template <typename RawRow>
+    std::vector<double> assembleRows(std::size_t nRows,
+                                     std::span<const std::size_t> columns,
+                                     RawRow&& rawRow) const;
+
+    /** The input row of one what-if bag. */
+    std::vector<double> bagRow(const AppFeatures& a, const AppFeatures& b,
+                               double fairness) const;
+
+    /**
+     * Walk assembled rows through the tree into @p outSeconds,
+     * denormalize and audit them under @p model. @return the audit
+     * batch's first sequence id, or nullopt when nothing was logged.
+     */
+    std::optional<std::uint64_t> predictRows(
+        const char* model, std::span<const double> rows,
+        std::span<double> outSeconds) const;
 
     /**
      * Precompute per-leaf audit lookaside tables from the freshly
@@ -175,17 +204,15 @@ class MultiAppPredictor
      * relaxed load) unless the global PredictionLog is enabled, then
      * reserves sequence ids for the whole batch and records only the
      * sampled rows — a leaf walk plus table copies each. @return the
-     * first reserved sequence id (0 when the log is disabled).
+     * first reserved sequence id, or nullopt when the log is disabled.
      */
-    std::uint64_t auditRows(const char* model,
-                            std::span<const double> flat,
-                            std::size_t nFeatures,
-                            std::span<const double> outSeconds) const;
+    std::optional<std::uint64_t> auditRows(
+        const char* model, std::span<const double> flat,
+        std::size_t nFeatures, std::span<const double> outSeconds) const;
 
     PredictorParams params_;
     std::optional<ml::DecisionTreeRegressor> tree_;
     RangeNormalizer normalizer_;
-    ml::Dataset trainLayout_;  ///< empty dataset carrying feature names
     /** Scheme feature names, resolved once in the constructor. */
     std::vector<std::string> schemeNames_;
     /** Scheme feature -> index into the full bag vector. */
@@ -199,11 +226,6 @@ class MultiAppPredictor
     /** Normalized-training-matrix feature ranges (drift reference). */
     std::vector<double> trainMin_;
     std::vector<double> trainMax_;
-    /** Sequence range of the last predictDataset() audit batch, so
-     *  observeGroundTruth() can annotate it. One model instance is
-     *  evaluated from one thread (folds each own a model). */
-    mutable std::uint64_t lastAuditFirstSeq_ = 0;
-    mutable std::size_t lastAuditRows_ = 0;
 };
 
 }  // namespace mapp::predictor

@@ -339,14 +339,13 @@ TEST(PredictorAudit, DatasetPredictionsAreAuditedAndAnnotated)
     log.setEnabled(true);
 
     const auto evalSet = predictor::toDataset(tinyCampaign());
-    const auto predictions = model.predictDataset(evalSet);
-    const std::uint64_t recorded = log.totalRecorded();
-    EXPECT_EQ(recorded, evalSet.size());
-
     const std::uint64_t pairsBefore =
         predictor::ModelQualityMonitor::global().pairsSeen();
-    model.observeGroundTruth(evalSet, predictions);
+    const auto predictions = model.evaluate(evalSet);
     log.setEnabled(false);
+    const std::uint64_t recorded = log.totalRecorded();
+    EXPECT_EQ(recorded, evalSet.size());
+    EXPECT_EQ(predictions, model.predictDataset(evalSet));
 
     EXPECT_GT(predictor::ModelQualityMonitor::global().pairsSeen(),
               pairsBefore);

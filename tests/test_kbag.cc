@@ -50,10 +50,10 @@ TEST(KBagSpec, Labels)
 
 TEST(KBagFeatures, NamesScaleWithK)
 {
-    EXPECT_EQ(kBagFeatureNames(2).size(), 23u);
-    EXPECT_EQ(kBagFeatureNames(3).size(), 34u);
-    EXPECT_EQ(kBagFeatureNames(4).back(), "fairness");
-    EXPECT_EQ(kBagFeatureNames(3)[22], "a2_cpu_time");
+    EXPECT_EQ(bagFeatureNames(2).size(), 23u);
+    EXPECT_EQ(bagFeatureNames(3).size(), 34u);
+    EXPECT_EQ(bagFeatureNames(4).back(), "fairness");
+    EXPECT_EQ(bagFeatureNames(3)[22], "a2_cpu_time");
 }
 
 TEST(KBagCollector, CampaignLayout)
@@ -138,6 +138,21 @@ TEST(KBagPredictor, GeneralizesToUnseen3Bag)
     const double err = ml::relativeErrorPercent(truth.gpuBagTime,
                                                 model.predict(truth));
     EXPECT_LT(err, 120.0);  // sane, not wildly extrapolated
+}
+
+TEST(KBagPredictor, BatchMatchesSinglePredictBitForBit)
+{
+    const auto specs = kcollector().campaign(3, 12, 9);
+    std::vector<KBagPoint> points;
+    for (const auto& spec : specs)
+        points.push_back(kcollector().collect(spec));
+
+    KBagPredictor model(3);
+    model.train(points);
+    const auto batch = model.predictBatch(points);
+    ASSERT_EQ(batch.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(batch[i], model.predict(points[i])) << "point " << i;
 }
 
 TEST(KBagPredictor, SizeMismatchesAreFatal)

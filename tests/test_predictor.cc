@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "ml/metrics.h"
 #include "predictor/decision_analysis.h"
@@ -132,6 +134,71 @@ TEST(Predictor, SchemeRestrictsFeatures)
         EXPECT_EQ(name.find("gpu_time"), std::string::npos);
         EXPECT_EQ(name.find("fairness"), std::string::npos);
     }
+}
+
+/** @p data with its columns in reverse order and an extra "noise"
+ * column in the middle. */
+ml::Dataset
+permutedWithExtraColumn(const ml::Dataset& data)
+{
+    auto names = data.featureNames();
+    std::reverse(names.begin(), names.end());
+    names.insert(names.begin() + 5, "noise");
+    ml::Dataset out(names);
+    for (std::size_t r = 0; r < data.size(); ++r) {
+        std::vector<double> row;
+        for (const auto& name : names)
+            row.push_back(name == "noise"
+                              ? 1e6 * static_cast<double>(r + 1)
+                              : data.row(r)[static_cast<std::size_t>(
+                                    data.featureIndex(name))]);
+        out.addRow(std::move(row), data.target(r), data.group(r));
+    }
+    return out;
+}
+
+TEST(Predictor, ColumnsAreResolvedByName)
+{
+    const auto canonical = toDataset(miniCampaign());
+    const auto permuted = permutedWithExtraColumn(canonical);
+    for (const auto& scheme : {fullScheme(), insmixScheme()}) {
+        PredictorParams params;
+        params.scheme = scheme;
+        MultiAppPredictor model(params);
+        model.train(canonical);
+        const auto expected = model.predictDataset(canonical);
+        EXPECT_EQ(model.inputRows(permuted), model.inputRows(canonical))
+            << scheme.name;
+        EXPECT_EQ(model.predictDataset(permuted), expected) << scheme.name;
+        EXPECT_EQ(model.evaluate(permuted), expected) << scheme.name;
+        EXPECT_EQ(model.evaluate(canonical), expected) << scheme.name;
+        for (std::size_t i = 0; i < miniCampaign().size(); ++i)
+            ASSERT_EQ(model.predict(miniCampaign()[i]), expected[i])
+                << scheme.name << " row " << i;
+    }
+}
+
+TEST(Predictor, MissingSchemeColumnIsFatalNamingIt)
+{
+    MultiAppPredictor model;
+    model.train(miniCampaign());
+    auto names = bagFeatureNames();
+    names.erase(std::find(names.begin(), names.end(), "a1_gpu_time"));
+    const auto lacking = toDataset(miniCampaign()).selectFeatures(names);
+
+    const auto expectNamed = [](const auto& call) {
+        try {
+            call();
+            ADD_FAILURE() << "no FatalError";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("'a1_gpu_time'"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectNamed([&] { model.inputRows(lacking); });
+    expectNamed([&] { model.predictDataset(lacking); });
+    expectNamed([&] { model.evaluate(lacking); });
 }
 
 TEST(Predictor, LoocvHasOneFoldPerBenchmark)
