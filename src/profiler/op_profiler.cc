@@ -45,6 +45,12 @@ sessionActive()
     return gActiveSession != nullptr;
 }
 
+const isa::WorkloadTrace*
+activeTrace()
+{
+    return gActiveTrace;
+}
+
 void
 record(isa::KernelPhase phase)
 {

@@ -55,6 +55,9 @@ class ProfilerSession
 /** True if a session is active on this thread. */
 bool sessionActive();
 
+/** The trace the active session on this thread records into, or null. */
+const isa::WorkloadTrace* activeTrace();
+
 /**
  * Record one phase into the active session; silently ignored if no
  * session is active (validates the phase either way so instrumentation

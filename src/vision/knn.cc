@@ -10,6 +10,49 @@
 
 namespace mapp::vision {
 
+namespace {
+
+/**
+ * Record the fused top-k selection phase: @p scans distance reads over
+ * the rows of @p queries queries against @p refs references.
+ */
+void
+recordSelect(InstCount scans, std::size_t queries, std::size_t refs)
+{
+    const auto q = static_cast<InstCount>(queries);
+    ops::PhaseBuilder("knn_select")
+        .insts(isa::InstClass::MemRead, scans)
+        .insts(isa::InstClass::FpAlu, scans)
+        .insts(isa::InstClass::Control, scans * 2)
+        .insts(isa::InstClass::IntAlu, scans + q * 8)
+        .insts(isa::InstClass::MemWrite, q)
+        .read(scans * sizeof(double))
+        .write(q * sizeof(int))
+        .foot(static_cast<Bytes>(queries) * static_cast<Bytes>(refs) *
+              sizeof(double))
+        .par(0.95)
+        .items(q)
+        .loc(0.6)
+        .div(0.5)
+        .record();
+}
+
+/**
+ * Reference descriptors of a KNN batch: those of a fixed number of
+ * leading images (a feature dictionary does not grow with the batch);
+ * every remaining image contributes queries, so cost is linear in the
+ * batch.
+ */
+std::size_t
+referenceCount(std::size_t batch, const KnnParams& params)
+{
+    const std::size_t dictImages = std::min<std::size_t>(16, batch / 2);
+    return dictImages * static_cast<std::size_t>(params.patchGrid) *
+           static_cast<std::size_t>(params.patchGrid);
+}
+
+}  // namespace
+
 void
 KnnClassifier::fit(std::vector<Descriptor> x, std::vector<int> y)
 {
@@ -58,22 +101,7 @@ KnnClassifier::predict(const std::vector<Descriptor>& queries,
         out.push_back(votes >= 0 ? 1 : -1);
     });
 
-    const auto q = static_cast<InstCount>(queries.size());
-    ops::PhaseBuilder("knn_select")
-        .insts(isa::InstClass::MemRead, scans)
-        .insts(isa::InstClass::FpAlu, scans)
-        .insts(isa::InstClass::Control, scans * 2)
-        .insts(isa::InstClass::IntAlu, scans + q * 8)
-        .insts(isa::InstClass::MemWrite, q)
-        .read(scans * sizeof(double))
-        .write(q * sizeof(int))
-        .foot(static_cast<Bytes>(queries.size()) *
-              static_cast<Bytes>(x_.size()) * sizeof(double))
-        .par(0.95)
-        .items(q)
-        .loc(0.6)
-        .div(0.5)
-        .record();
+    recordSelect(scans, queries.size(), x_.size());
     return out;
 }
 
@@ -144,16 +172,9 @@ runKnnBenchmark(ImageStream& batch, const KnnParams& params)
     if (batch.size() < static_cast<std::size_t>(minBatch(BenchmarkId::Knn)))
         return 0;
 
-    // Reference dictionary: descriptors from a fixed number of leading
-    // images (a feature dictionary does not grow with the batch); every
-    // remaining image contributes queries, so cost is linear in batch.
-    const std::size_t dictImages = std::min<std::size_t>(16, batch.size() / 2);
-    const std::size_t perImage =
-        static_cast<std::size_t>(params.patchGrid) *
-        static_cast<std::size_t>(params.patchGrid);
-
     std::vector<Descriptor> all;
-    all.reserve(batch.size() * perImage);
+    all.reserve(batch.size() * static_cast<std::size_t>(params.patchGrid) *
+                static_cast<std::size_t>(params.patchGrid));
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Image staged = ops::copyImage(batch.next());
         auto descs = gridDescriptors(staged, params);
@@ -168,7 +189,7 @@ runKnnBenchmark(ImageStream& batch, const KnnParams& params)
         return acc;
     };
 
-    const std::size_t refCount = dictImages * perImage;
+    const std::size_t refCount = referenceCount(batch.size(), params);
 
     std::vector<double> refEnergy;
     refEnergy.reserve(refCount);
@@ -199,6 +220,41 @@ runKnnBenchmark(ImageStream& batch, const KnnParams& params)
         if (label == 1)
             ++positives;
     return positives;
+}
+
+void
+recordKnnPredictCounts(std::size_t queries, std::size_t refs,
+                       std::size_t dim, const KnnParams& params)
+{
+    if (queries == 0 || refs == 0)
+        return;
+    ops::recordDistanceRows(queries, refs, dim);
+    // Every selection scans all references; a finite distance row always
+    // yields a pick, so each query makes min(k, refs) selections.
+    const auto picks = static_cast<InstCount>(
+        std::min<std::size_t>(static_cast<std::size_t>(std::max(params.k, 0)),
+                              refs));
+    recordSelect(static_cast<InstCount>(queries) * picks *
+                     static_cast<InstCount>(refs),
+                 queries, refs);
+}
+
+void
+profileKnnByShape(ImageStream& batch, const KnnParams& params)
+{
+    if (batch.size() < static_cast<std::size_t>(minBatch(BenchmarkId::Knn)))
+        return;
+    const Image first = batch.next();
+    std::size_t perImage = 0;
+    std::size_t dim = 0;
+    ops::recordRepeated(batch.size() - 1, [&] {
+        const auto descs = gridDescriptors(ops::copyImage(first), params);
+        perImage = descs.size();
+        dim = descs.front().size();
+    });
+    const std::size_t refs = referenceCount(batch.size(), params);
+    recordKnnPredictCounts(batch.size() * perImage - refs, refs, dim,
+                           params);
 }
 
 }  // namespace mapp::vision

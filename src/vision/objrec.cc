@@ -11,6 +11,9 @@ namespace mapp::vision {
 
 namespace {
 
+/** Seed of the prototype scenes the recognizer trains on. */
+constexpr std::uint64_t kPrototypeSeed = 0xC1A55ull;
+
 /** Generate a prototype scene for one synthetic object class. */
 Image
 classPrototype(int cls, int size, Rng& rng)
@@ -107,11 +110,23 @@ runObjRecBenchmark(ImageStream& batch, const ObjRecParams& params)
         const Image img = batch.next();
         // Train once, on prototypes the size of the inputs.
         if (!rec.trained())
-            rec.train(img.width(), 0xC1A55ull, params);
+            rec.train(img.width(), kPrototypeSeed, params);
         const Image staged = ops::copyImage(img);
         checksum += static_cast<std::size_t>(rec.classify(staged));
     }
     return checksum;
+}
+
+void
+profileObjRecByShape(ImageStream& batch, const ObjRecParams& params)
+{
+    if (batch.size() == 0)
+        return;
+    const Image img = batch.next();
+    ObjectRecognizer rec;
+    rec.train(img.width(), kPrototypeSeed, params);
+    ops::recordRepeated(batch.size() - 1,
+                        [&] { rec.classify(ops::copyImage(img)); });
 }
 
 }  // namespace mapp::vision

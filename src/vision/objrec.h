@@ -58,6 +58,16 @@ class ObjectRecognizer
 std::size_t runObjRecBenchmark(ImageStream& batch,
                                const ObjRecParams& params = {});
 
+/**
+ * Profile the ObjRec benchmark by shape: the same phases
+ * runObjRecBenchmark records, in the same order. Training and the first
+ * image run for real; that image's phases (staging, HoG, classification)
+ * are replayed for every further image. Valid because every count
+ * follows the image size, not its content.
+ */
+void profileObjRecByShape(ImageStream& batch,
+                          const ObjRecParams& params = {});
+
 }  // namespace mapp::vision
 
 #endif  // MAPP_VISION_OBJREC_H

@@ -86,6 +86,23 @@ PhaseBuilder::record()
     profiler::record(std::move(phase_));
 }
 
+void
+recordRepeated(std::size_t times, const std::function<void()>& step)
+{
+    const isa::WorkloadTrace* trace = profiler::activeTrace();
+    const std::size_t mark = trace != nullptr ? trace->size() : 0;
+    step();
+    if (trace == nullptr)
+        return;
+    // Copied out first: recording appends to the vector read from.
+    const std::vector<isa::KernelPhase> group(
+        trace->phases().begin() + static_cast<std::ptrdiff_t>(mark),
+        trace->phases().end());
+    for (std::size_t t = 0; t < times; ++t)
+        for (const auto& phase : group)
+            profiler::record(phase);
+}
+
 namespace {
 
 using isa::InstClass;
@@ -851,12 +868,18 @@ distanceRows(
         }
         fn(i, row);
     }
+    recordDistanceRows(a.size(), b.size(), dim);
+}
+
+void
+recordDistanceRows(std::size_t rows, std::size_t cols, std::size_t dim)
+{
     // The phase models a GPU kernel that writes the whole matrix.
-    const auto ops = static_cast<InstCount>(a.size()) *
-                     static_cast<InstCount>(b.size()) *
+    const auto ops = static_cast<InstCount>(rows) *
+                     static_cast<InstCount>(cols) *
                      static_cast<InstCount>(std::max<std::size_t>(dim, 1));
-    const auto pairs = static_cast<InstCount>(a.size()) *
-                       static_cast<InstCount>(b.size());
+    const auto pairs =
+        static_cast<InstCount>(rows) * static_cast<InstCount>(cols);
     PhaseBuilder("distance_matrix")
         .insts(InstClass::MemRead, ops * 2)
         .insts(InstClass::Simd, ops * 2)
@@ -866,7 +889,7 @@ distanceRows(
         .insts(InstClass::Control, pairs + ops / 8)
         .read(ops * 2 * kF)
         .write(pairs * static_cast<Bytes>(sizeof(double)))
-        .foot((static_cast<Bytes>(a.size()) + static_cast<Bytes>(b.size())) *
+        .foot((static_cast<Bytes>(rows) + static_cast<Bytes>(cols)) *
                   static_cast<Bytes>(dim) * kF +
               static_cast<Bytes>(pairs) *
                   static_cast<Bytes>(sizeof(double)))

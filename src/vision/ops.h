@@ -53,6 +53,14 @@ class PhaseBuilder
     isa::KernelPhase phase_;
 };
 
+/**
+ * Run @p step once, then record the phases it recorded @p times more,
+ * in order: the profile of the step repeated on inputs of the same
+ * shape, for a step whose counts the shape alone fixes. Without an
+ * active profiler session, @p step just runs once.
+ */
+void recordRepeated(std::size_t times, const std::function<void()>& step);
+
 /** Dense 2-D convolution with a k x k kernel (border clamped). */
 Image convolve2d(const Image& img, std::span<const float> kernel, int k);
 
@@ -100,6 +108,14 @@ double dot(std::span<const float> a, std::span<const float> b);
 void distanceRows(
     const std::vector<Descriptor>& a, const std::vector<Descriptor>& b,
     const std::function<void(std::size_t, std::span<const double>)>& fn);
+
+/**
+ * Record the "distance_matrix" phase distanceRows records for @p rows
+ * rows against @p cols references of dimension @p dim, from the sizes
+ * alone: no distance is computed.
+ */
+void recordDistanceRows(std::size_t rows, std::size_t cols,
+                        std::size_t dim);
 
 /**
  * Indices of the k smallest values in @p values (selection by repeated

@@ -139,6 +139,30 @@ isPerImage(BenchmarkId id)
     }
 }
 
+/**
+ * True for benchmarks whose trace the batch's shapes fix: no count they
+ * record reads image content, so profileByShape replays instead of
+ * running every image. tests/test_shape_replay.cc holds each one
+ * byte-identical to full execution.
+ */
+bool
+isShapeDetermined(BenchmarkId id)
+{
+    return id == BenchmarkId::Knn || id == BenchmarkId::ObjRec;
+}
+
+/** Record what runBenchmark records, for a shape-determined benchmark. */
+void
+profileByShape(BenchmarkId id, ImageStream& batch)
+{
+    switch (id) {
+      case BenchmarkId::Knn: return profileKnnByShape(batch);
+      case BenchmarkId::ObjRec: return profileObjRecByShape(batch);
+      default: break;
+    }
+    panic("profileByShape: " + benchmarkName(id) + " is not shape-determined");
+}
+
 /** Distinct images actually executed for per-image benchmarks. */
 constexpr int kSampleImages = 4;
 
@@ -179,7 +203,10 @@ profileWorkload(BenchmarkId id, int batch_size, std::uint64_t seed)
         id, executed, seed ^ static_cast<std::uint64_t>(batch_size) * 31ull);
 
     profiler::ProfilerSession session(benchmarkName(id), batch_size);
-    runBenchmark(id, batch);
+    if (isShapeDetermined(id))
+        profileByShape(id, batch);
+    else
+        runBenchmark(id, batch);
     isa::WorkloadTrace trace = session.take();
 
     if (sampled) {

@@ -102,10 +102,12 @@ std::size_t runBenchmark(BenchmarkId id, ImageStream& batch);
  * session and return the trace.
  *
  * Per-image benchmarks are sampled on a few distinct images and the
- * trace is scaled to the full batch (their work is linear per image);
- * the training-style benchmarks (SVM, KNN, OBJREC) always run the full
- * batch since their cost is not linear in it. Either way the images are
- * streamed, so memory does not grow with the batch.
+ * trace is scaled to the full batch (their work is linear per image).
+ * KNN and OBJREC count only from shapes, so they run their setup and
+ * first image and replay that image's phases for the rest: the trace is
+ * the one running every image records, byte for byte. SVM runs the full
+ * batch. Either way the images are streamed, so memory does not grow
+ * with the batch.
  * @throws FatalError below minBatch(id).
  */
 isa::WorkloadTrace profileWorkload(BenchmarkId id, int batch_size,

@@ -216,15 +216,16 @@ TEST(Registry, ProfilingMemoryDoesNotGrowWithTheBatch)
     if (kSanitized)
         GTEST_SKIP() << "the sanitizer's quarantine keeps freed images "
                         "resident, so the peak measures the quarantine";
-    // The training-style members run every image of the batch; streamed,
-    // they hold what they keep of each image (KNN: its 25 descriptors;
-    // SVM: a thumbnail; OBJREC: nothing), never the 320 images.
+    // Streamed, a training-style member holds what it keeps of each
+    // image (SVM: a thumbnail), never the 320 images. KNN and OBJREC are
+    // profiled by shape: they hold their first image and its phases, not
+    // KNN's 7,600 query descriptors (KNN measured 0.7-0.8 MB).
     const struct
     {
         BenchmarkId id;
         double maxMb;
     } members[] = {
-        {BenchmarkId::Knn, 16.0},
+        {BenchmarkId::Knn, 1.6},
         {BenchmarkId::ObjRec, 8.0},
         {BenchmarkId::Svm, 8.0},
     };
