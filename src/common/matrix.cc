@@ -66,16 +66,6 @@ Matrix::col(std::size_t c) const
 }
 
 Matrix
-Matrix::transpose() const
-{
-    Matrix t(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            t(c, r) = (*this)(r, c);
-    return t;
-}
-
-Matrix
 Matrix::operator*(const Matrix& rhs) const
 {
     if (cols_ != rhs.rows_)
@@ -134,15 +124,6 @@ Matrix::operator*(const std::vector<double>& v) const
         for (std::size_t c = 0; c < cols_; ++c)
             out[r] += (*this)(r, c) * v[c];
     return out;
-}
-
-double
-Matrix::frobeniusNorm() const
-{
-    double acc = 0.0;
-    for (double v : data_)
-        acc += v * v;
-    return std::sqrt(acc);
 }
 
 std::string

@@ -46,7 +46,6 @@ class Matrix
     /** One column as a vector copy. */
     std::vector<double> col(std::size_t c) const;
 
-    Matrix transpose() const;
     Matrix operator*(const Matrix& rhs) const;
     Matrix operator+(const Matrix& rhs) const;
     Matrix operator-(const Matrix& rhs) const;
@@ -54,9 +53,6 @@ class Matrix
 
     /** Matrix-vector product. */
     std::vector<double> operator*(const std::vector<double>& v) const;
-
-    /** Frobenius norm. */
-    double frobeniusNorm() const;
 
     /** Human-readable rendering for debugging. */
     std::string toString(int precision = 4) const;

@@ -1,7 +1,7 @@
 /**
  * @file
  * The MAPP parallel execution layer: a fixed-size ThreadPool with clean
- * shutdown plus parallelFor/parallelMap helpers that drive the
+ * shutdown plus the parallelFor helper that drives the
  * pipeline's embarrassingly parallel loops (per-bag campaign
  * collection, LOOCV folds, per-tree forest fits).
  *
@@ -109,21 +109,6 @@ ThreadPool& globalPool();
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)>& body);
-
-/**
- * Map fn over items with parallelFor; out[i] = fn(items[i]) with the
- * exact ordering of the serial loop. R must be default-constructible.
- */
-template <typename T, typename Fn>
-auto
-parallelMap(const std::vector<T>& items, Fn&& fn)
-    -> std::vector<decltype(fn(items.front()))>
-{
-    std::vector<decltype(fn(items.front()))> out(items.size());
-    parallelFor(items.size(),
-                [&](std::size_t i) { out[i] = fn(items[i]); });
-    return out;
-}
 
 }  // namespace mapp::parallel
 

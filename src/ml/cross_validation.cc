@@ -1,7 +1,5 @@
 #include "ml/cross_validation.h"
 
-#include <numeric>
-
 #include "common/log.h"
 #include "common/parallel.h"
 
@@ -52,38 +50,6 @@ leaveOneGroupOut(const Dataset& data, const FitPredictFn& fit_predict)
         result.folds[i] = evaluateFold(groups[i], train, test,
                                        fit_predict);
     });
-    return result;
-}
-
-CrossValidationResult
-kFold(const Dataset& data, int folds, Rng& rng,
-      const FitPredictFn& fit_predict)
-{
-    if (folds < 2)
-        fatal("kFold: need at least 2 folds");
-
-    std::vector<std::size_t> order(data.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    rng.shuffle(order);
-
-    CrossValidationResult result;
-    result.folds.resize(static_cast<std::size_t>(folds));
-    parallel::parallelFor(
-        static_cast<std::size_t>(folds), [&](std::size_t fi) {
-            const int f = static_cast<int>(fi);
-            std::vector<std::size_t> trainIdx;
-            std::vector<std::size_t> testIdx;
-            for (std::size_t i = 0; i < order.size(); ++i) {
-                if (static_cast<int>(
-                        i % static_cast<std::size_t>(folds)) == f)
-                    testIdx.push_back(order[i]);
-                else
-                    trainIdx.push_back(order[i]);
-            }
-            result.folds[fi] = evaluateFold(
-                "fold" + std::to_string(f), data.subset(trainIdx),
-                data.subset(testIdx), fit_predict);
-        });
     return result;
 }
 

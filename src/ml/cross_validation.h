@@ -58,10 +58,6 @@ using FitPredictFn =
 CrossValidationResult leaveOneGroupOut(const Dataset& data,
                                        const FitPredictFn& fit_predict);
 
-/** Classic k-fold CV with a deterministic shuffle. */
-CrossValidationResult kFold(const Dataset& data, int folds, Rng& rng,
-                            const FitPredictFn& fit_predict);
-
 }  // namespace mapp::ml
 
 #endif  // MAPP_ML_CROSS_VALIDATION_H

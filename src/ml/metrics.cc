@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "common/stats.h"
 
 namespace mapp::ml {
 
@@ -61,27 +60,6 @@ meanRelativeErrorPercent(std::span<const double> truth,
     for (std::size_t i = 0; i < n; ++i)
         acc += relativeErrorPercent(truth[i], predicted[i]);
     return acc / static_cast<double>(n);
-}
-
-double
-r2Score(std::span<const double> truth, std::span<const double> predicted)
-{
-    const std::size_t n = std::min(truth.size(), predicted.size());
-    if (n == 0)
-        return 0.0;
-    requireFinite(truth, predicted, n, "ml::r2Score");
-    const double mean = stats::mean(truth.subspan(0, n));
-    double ssRes = 0.0;
-    double ssTot = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double res = truth[i] - predicted[i];
-        const double dev = truth[i] - mean;
-        ssRes += res * res;
-        ssTot += dev * dev;
-    }
-    if (ssTot <= 0.0)
-        return ssRes <= 0.0 ? 1.0 : 0.0;
-    return 1.0 - ssRes / ssTot;
 }
 
 }  // namespace mapp::ml

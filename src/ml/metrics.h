@@ -26,10 +26,6 @@ double relativeErrorPercent(double truth, double predicted);
 double meanRelativeErrorPercent(std::span<const double> truth,
                                 std::span<const double> predicted);
 
-/** Coefficient of determination (R^2). */
-double r2Score(std::span<const double> truth,
-               std::span<const double> predicted);
-
 }  // namespace mapp::ml
 
 #endif  // MAPP_ML_METRICS_H

@@ -115,6 +115,9 @@ drawDisc(Image& img, int cx, int cy, int radius, float value)
     }
 }
 
+namespace {
+
+/** Draw a thick line: a square brush stamped along the segment. */
 void
 drawLine(Image& img, int x0, int y0, int x1, int y1, float value,
          int thickness)
@@ -134,6 +137,8 @@ drawLine(Image& img, int x0, int y0, int x1, int y1, float value,
                     img.at(x + dx, y + dy) = value;
     }
 }
+
+}  // namespace
 
 Image
 scene(int w, int h, Rng& rng)

@@ -145,10 +145,6 @@ void drawRect(Image& img, int x0, int y0, int x1, int y1, float value);
 /** Draw a filled disc. */
 void drawDisc(Image& img, int cx, int cy, int radius, float value);
 
-/** Draw an anti-aliased-ish thick line. */
-void drawLine(Image& img, int x0, int y0, int x1, int y1, float value,
-              int thickness = 1);
-
 /**
  * A cluttered scene: textured background plus random rectangles, discs
  * and lines — rich in corners and edges for the feature detectors.

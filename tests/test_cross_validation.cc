@@ -68,34 +68,6 @@ TEST(LeaveOneGroupOut, MeanAggregatesFolds)
     EXPECT_DOUBLE_EQ(r.meanRelativeError(), 20.0);
 }
 
-TEST(KFold, PartitionsAllRows)
-{
-    Rng rng(1);
-    const auto cv = kFold(groupedData(), 4, rng, treeFitPredict());
-    ASSERT_EQ(cv.folds.size(), 4u);
-    std::size_t total = 0;
-    for (const auto& fold : cv.folds)
-        total += fold.testPoints;
-    EXPECT_EQ(total, 20u);
-}
-
-TEST(KFold, RejectsSingleFold)
-{
-    Rng rng(1);
-    EXPECT_THROW(kFold(groupedData(), 1, rng, treeFitPredict()),
-                 FatalError);
-}
-
-TEST(KFold, InterpolationEasierThanGroupExtrapolation)
-{
-    // k-fold mixes groups into training, so its error should not exceed
-    // the leave-group-out error on this group-determined target.
-    Rng rng(2);
-    const auto kf = kFold(groupedData(), 5, rng, treeFitPredict());
-    const auto logo = leaveOneGroupOut(groupedData(), treeFitPredict());
-    EXPECT_LE(kf.meanRelativeError(), logo.meanRelativeError() + 1e-9);
-}
-
 TEST(CrossValidation, EmptyResultMeanIsZero)
 {
     CrossValidationResult r;

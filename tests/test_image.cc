@@ -110,15 +110,6 @@ TEST(Synth, DrawDiscRespectsRadius)
     EXPECT_FLOAT_EQ(img.at(12, 12), 0.0f);
 }
 
-TEST(Synth, DrawLineConnectsEndpoints)
-{
-    Image img(10, 10, 0.0f);
-    synth::drawLine(img, 0, 0, 9, 9, 1.0f, 1);
-    EXPECT_FLOAT_EQ(img.at(0, 0), 1.0f);
-    EXPECT_FLOAT_EQ(img.at(9, 9), 1.0f);
-    EXPECT_FLOAT_EQ(img.at(5, 5), 1.0f);
-}
-
 TEST(Synth, SceneHasContrastStructure)
 {
     Rng rng(9);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel execution layer: ThreadPool lifecycle,
- * parallelFor/parallelMap correctness and exception propagation, and —
+ * parallelFor correctness and exception propagation, and —
  * the layer's hard requirement — bit-identical serial-vs-parallel
  * results for campaign collection, LOOCV fold errors and random-forest
  * predictions.
@@ -105,18 +105,6 @@ TEST(ParallelFor, SerialFallbackPropagatesExceptionsToo)
                              throw std::runtime_error("boom");
                      }),
                  std::runtime_error);
-}
-
-TEST(ParallelMap, PreservesOrdering)
-{
-    const ThreadScope scope(4);
-    std::vector<int> in(257);
-    std::iota(in.begin(), in.end(), 0);
-    const auto out =
-        parallel::parallelMap(in, [](int v) { return v * v; });
-    ASSERT_EQ(out.size(), in.size());
-    for (std::size_t i = 0; i < in.size(); ++i)
-        EXPECT_EQ(out[i], in[i] * in[i]);
 }
 
 TEST(ParallelConfig, MaxThreadsOverrideWins)
