@@ -6,14 +6,20 @@
  * lands in the metrics sidecar (bench.inference.* and bench.audit.*
  * gauges) so the cost of the serving path is measured, not asserted.
  *
+ * Each path prints its min, median and max per-slice ns/pred. The min
+ * rejects a preemption inside one slice, but not a slow host phase that
+ * lasts through all the slices; a median or max far from the min shows
+ * such a phase in the run's own output. One run backs no claim: compare
+ * builds only over interleaved pairs with both pinned to the same core
+ * (`taskset -c <cpu>`), reading the medians over the pairs.
+ *
  * Flags:
  *   --iters=<n>     scale all repetition counts (default 2000; the
  *                   bench_smoke ctest entry passes a tiny value so the
  *                   whole path is compile- and run-checked in tier 1).
  *   --json-out=<f>  also write the gauge snapshot to <f> (default: no
- *                   file, so a run never overwrites the tracked
- *                   BENCH_inference.json). The sidecar
- *                   <binary>.metrics.json still appears independently.
+ *                   file). The sidecar <binary>.metrics.json still
+ *                   appears independently.
  */
 
 #include <algorithm>
@@ -36,32 +42,37 @@ namespace {
 /** Rows in the replicated evaluation set of the audit section. */
 constexpr std::size_t kServingRows = 8192;
 
+/** Seconds per call of a body: the fastest, median and slowest slice. */
+struct SliceTimes
+{
+    double min = 0.0;
+    double median = 0.0;
+    double max = 0.0;
+};
+
 /**
- * Time @p reps calls of @p body, splitting them into slices and
- * scaling the fastest slice to the full rep count. The minimum is the
- * standard noise-rejecting estimator on a shared machine: scheduler
- * preemption and frequency wobble only ever ADD time, so the fastest
- * slice is the closest observation of the true cost.
+ * Time @p reps calls of @p body, split into 15 back-to-back slices.
+ * The fastest slice is the standard noise-rejecting estimator on a
+ * shared machine (preemption and frequency wobble only ever ADD time);
+ * the median and slowest slice show whether a host phase outlasted it.
  */
-double
-secondsFor(const std::function<void()>& body, long reps)
+SliceTimes
+secondsPerCall(const std::function<void()>& body, long reps)
 {
     constexpr long kSlices = 15;
     const long perSlice = std::max(1L, reps / kSlices);
-    double best = 0.0;
+    std::vector<double> perRep;
     for (long done = 0; done < reps; done += perSlice) {
         const long n = std::min(perSlice, reps - done);
         const auto t0 = std::chrono::steady_clock::now();
         for (long r = 0; r < n; ++r)
             body();
         const auto t1 = std::chrono::steady_clock::now();
-        const double perRep =
-            std::chrono::duration<double>(t1 - t0).count() /
-            static_cast<double>(n);
-        if (best == 0.0 || perRep < best)
-            best = perRep;
+        perRep.push_back(std::chrono::duration<double>(t1 - t0).count() /
+                         static_cast<double>(n));
     }
-    return best * static_cast<double>(reps);
+    std::sort(perRep.begin(), perRep.end());
+    return {perRep.front(), perRep[perRep.size() / 2], perRep.back()};
 }
 
 void
@@ -111,41 +122,42 @@ main(int argc, char** argv)
 
     // --- single-sample latency (one predict() per row) and batch
     // throughput (one predictBatch() over the campaign rows) ---
-    const double single = secondsFor(
+    const SliceTimes single = secondsPerCall(
         [&] {
             for (std::size_t i = 0; i < nRows; ++i)
                 out[i] = tree.predict(raw.row(i));
         },
         iters);
-    const double batch = secondsFor(
+    const SliceTimes batch = secondsPerCall(
         [&] { tree.predictBatch(flat, nFeatures, out); }, iters);
 
-    const auto perPredNs = [](double seconds, long reps,
-                              std::size_t rows) {
-        return 1e9 * seconds /
-               (static_cast<double>(reps) * static_cast<double>(rows));
-    };
     struct Line
     {
         const char* name;
-        double ns;
+        SliceTimes perCall;
         const char* gauge;
     };
     const Line lines[] = {
-        {"tree single-sample", perPredNs(single, iters, nRows),
-         "tree.single"},
-        {"tree batch(91)", perPredNs(batch, iters, nRows), "tree.batch"},
+        {"tree single-sample", single, "tree.single"},
+        {"tree batch(91)", batch, "tree.batch"},
     };
 
-    TextTable table("inference latency / throughput");
-    table.setHeader({"path", "ns/pred", "preds/sec"});
+    TextTable table("inference latency / throughput (per-slice ns/pred)");
+    table.setHeader({"path", "min", "median", "max", "preds/sec (min)"});
     for (const auto& line : lines) {
-        const double pps = 1e9 / line.ns;
-        table.addRow({line.name, formatDouble(line.ns, 1),
+        const auto ns = [&](double seconds) {
+            return 1e9 * seconds / static_cast<double>(nRows);
+        };
+        const double pps = 1e9 / ns(line.perCall.min);
+        table.addRow({line.name, formatDouble(ns(line.perCall.min), 1),
+                      formatDouble(ns(line.perCall.median), 1),
+                      formatDouble(ns(line.perCall.max), 1),
                       formatDouble(pps, 0)});
         const std::string prefix =
             std::string("bench.inference.") + line.gauge;
-        setGauge(prefix + ".ns_per_pred", line.ns);
+        setGauge(prefix + ".ns_per_pred", ns(line.perCall.min));
+        setGauge(prefix + ".ns_per_pred_median", ns(line.perCall.median));
+        setGauge(prefix + ".ns_per_pred_max", ns(line.perCall.max));
         setGauge(prefix + ".preds_per_sec", pps);
     }
     std::printf("%s\n", table.render().c_str());
@@ -202,9 +214,10 @@ main(int argc, char** argv)
         std::sort(deltas.begin(), deltas.end());
         const double offBest = offTimes.front();
         const double deltaMedian = deltas[deltas.size() / 2];
-        const double offNs = perPredNs(offBest, 1, kServingRows);
-        const double onNs =
-            perPredNs(offBest + deltaMedian, 1, kServingRows);
+        const double offNs =
+            1e9 * offBest / static_cast<double>(kServingRows);
+        const double onNs = 1e9 * (offBest + deltaMedian) /
+                            static_cast<double>(kServingRows);
         const double overheadPct =
             offNs > 0.0 ? (onNs - offNs) / offNs * 100.0 : 0.0;
         setGauge("bench.audit.off_ns_per_pred", offNs);

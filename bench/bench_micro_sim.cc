@@ -17,8 +17,7 @@
  *                   value so the path is compile- and run-checked in
  *                   tier 1).
  *   --json-out=<f>  also write the gauge snapshot to <f> (default: no
- *                   file, so a run never overwrites the tracked
- *                   BENCH_sim.json).
+ *                   file).
  */
 
 #include <chrono>
