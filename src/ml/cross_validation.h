@@ -1,9 +1,8 @@
 /**
  * @file
- * Cross-validation drivers: leave-one-group-out (the paper's LOOCV,
- * where every data point of the left-out benchmark is held out
- * together, Section V-D.1) and k-fold, both generic over any regressor
- * with fit(Dataset)/predict(Dataset).
+ * Cross-validation: leave-one-group-out (the paper's LOOCV, where every
+ * data point of the left-out benchmark is held out together, Section
+ * V-D.1), generic over any regressor with fit(Dataset)/predict(Dataset).
  */
 
 #ifndef MAPP_ML_CROSS_VALIDATION_H
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "ml/dataset.h"
 #include "ml/metrics.h"
 

@@ -51,6 +51,28 @@ referenceCount(std::size_t batch, const KnnParams& params)
            static_cast<std::size_t>(params.patchGrid);
 }
 
+/**
+ * Record the phases KnnClassifier::predict records for @p queries
+ * queries against @p refs references of dimension @p dim, from the
+ * sizes alone.
+ */
+void
+recordKnnPredictCounts(std::size_t queries, std::size_t refs,
+                       std::size_t dim, const KnnParams& params)
+{
+    if (queries == 0 || refs == 0)
+        return;
+    ops::recordDistanceRows(queries, refs, dim);
+    // Every selection scans all references; a finite distance row always
+    // yields a pick, so each query makes min(k, refs) selections.
+    const auto picks = static_cast<InstCount>(
+        std::min<std::size_t>(static_cast<std::size_t>(std::max(params.k, 0)),
+                              refs));
+    recordSelect(static_cast<InstCount>(queries) * picks *
+                     static_cast<InstCount>(refs),
+                 queries, refs);
+}
+
 }  // namespace
 
 void
@@ -220,23 +242,6 @@ runKnnBenchmark(ImageStream& batch, const KnnParams& params)
         if (label == 1)
             ++positives;
     return positives;
-}
-
-void
-recordKnnPredictCounts(std::size_t queries, std::size_t refs,
-                       std::size_t dim, const KnnParams& params)
-{
-    if (queries == 0 || refs == 0)
-        return;
-    ops::recordDistanceRows(queries, refs, dim);
-    // Every selection scans all references; a finite distance row always
-    // yields a pick, so each query makes min(k, refs) selections.
-    const auto picks = static_cast<InstCount>(
-        std::min<std::size_t>(static_cast<std::size_t>(std::max(params.k, 0)),
-                              refs));
-    recordSelect(static_cast<InstCount>(queries) * picks *
-                     static_cast<InstCount>(refs),
-                 queries, refs);
 }
 
 void

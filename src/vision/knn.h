@@ -61,19 +61,12 @@ std::size_t runKnnBenchmark(ImageStream& batch,
                             const KnnParams& params = {});
 
 /**
- * Record the phases KnnClassifier::predict records for @p queries
- * queries against @p refs references of dimension @p dim, from the
- * sizes alone: no distance is computed and no descriptor is held.
- */
-void recordKnnPredictCounts(std::size_t queries, std::size_t refs,
-                            std::size_t dim, const KnnParams& params = {});
-
-/**
  * Profile the KNN benchmark by shape: the same phases runKnnBenchmark
  * records, in the same order. The first image is staged and cut into
  * descriptors for real, and its phases are replayed for every further
- * image; classification is recorded by recordKnnPredictCounts. Valid
- * because no KNN count reads image content.
+ * image; classification is recorded from the query, reference and
+ * dimension counts alone, with no distance computed and no query
+ * descriptor held. Valid because no KNN count reads image content.
  */
 void profileKnnByShape(ImageStream& batch, const KnnParams& params = {});
 
