@@ -84,10 +84,6 @@ def quartiles(values):
     return q2, q3 - q1
 
 
-def better(spec):
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
-
-
 def summarize(samples, pairs, directions):
     """Per workload and metric: each side's median and IQR, the pairs
     the change won and whether the move exceeds max(IQR, 5%)."""
@@ -147,7 +143,8 @@ def main():
         spec = json.load(f)
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
-    directions = {name: b == "lower" for name, b in better(spec).items()}
+    directions = {m["name"]: m["better"] == "lower"
+                  for m in spec["end_to_end"]}
 
     trees = {}
     for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -169,12 +166,7 @@ def main():
                     metrics, sort_keys=True)))
 
     summary = summarize(samples, args.pairs, directions)
-    for workload in workloads:
-        for side in ("parent", "change"):
-            summary[workload]["failed_share_" + side] = max(
-                failed[workload][side])
-    report({w: {k: v for k, v in m.items() if k in directions}
-            for w, m in summary.items()}, directions)
+    report(summary, directions)
 
     if args.record:
         entry = {
@@ -197,6 +189,9 @@ def main():
                 "flags": meta.get("flags"),
             },
             "workloads": summary,
+            "max_failed_share": {w: {side: max(shares)
+                                     for side, shares in sides.items()}
+                                 for w, sides in failed.items()},
         }
         history = []
         if os.path.exists(args.record):
