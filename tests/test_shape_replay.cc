@@ -68,18 +68,4 @@ TEST(ShapeReplay, ObjRecMatchesFullExecution)
     expectReplayMatchesFull(BenchmarkId::ObjRec, gridAnd({1, 2, 3, 33}));
 }
 
-TEST(ShapeReplay, KnnCountsFollowTheBatchShape)
-{
-    // The replay records one staging and patch phase pair per image,
-    // then the fused distance and selection phases.
-    const auto trace = profileWorkload(BenchmarkId::Knn, 7);
-    ASSERT_EQ(trace.size(), 7u * 2u + 2u);
-    EXPECT_EQ(trace.phases()[0].name, "image_copy");
-    EXPECT_EQ(trace.phases()[13].name, "patch_extract");
-    EXPECT_EQ(trace.phases()[14].name, "distance_matrix");
-    EXPECT_EQ(trace.phases()[15].name, "knn_select");
-    // 7 images: 3 dictionary images (75 references), 100 queries.
-    EXPECT_EQ(trace.phases()[14].workItems, 100u * 75u);
-}
-
 }  // namespace

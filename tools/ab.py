@@ -11,7 +11,7 @@ perfbench/run.py, unchanged, builds and runs it. Pair i runs every
 workload on both revisions, the parent first in even pairs and the
 change first in odd ones, so a drift of the host over the session
 lands on both sides; --taskset pins both to the same CPUs (perfbench
-then uses min(4, CPUs) lanes). For every end-to-end metric the driver
+then uses min(4, CPUs) lanes). For every end-to-end metric the script
 prints the median and IQR of each side, the pairs the change won and a
 FLAG when the medians differ by more than max(parent IQR, 5%). With
 --record it appends one entry, with its provenance, to a JSON list.
